@@ -1,10 +1,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci vet fmt lint vuln build test shuffle race bench bench-smoke bench-sweep bench-sweep-4 bench-sweep-7 bench-sweep-10 alloc-gate chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
+.PHONY: ci vet fmt lint vuln build test flake shuffle race bench bench-smoke bench-sweep bench-sweep-4 bench-sweep-7 bench-sweep-10 alloc-gate chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
 
 # The full gate: what must pass before merging.
-ci: vet fmt lint vuln build test shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
+ci: vet fmt lint vuln build test flake shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The interleaving-sensitive integration tests, rerun: each run draws
+# fresh goroutine schedules, so a scheduler bug that shows in one run
+# of N fails here instead of flaking in `test`.
+flake:
+	$(GO) test -count=20 -run 'TestBankingInvariantAllSchedulers|TestConcurrentHistoriesAreDSR' ./internal/sim ./internal/history
 
 # The suite again in random test order: catches inter-test state leaks
 # (shared package-level state, test-order-dependent fixtures).

@@ -16,6 +16,7 @@
 package history
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/oplog"
@@ -26,11 +27,18 @@ import (
 type Recorder struct {
 	mu    sync.Mutex
 	inner sched.Scheduler
-	ops   []oplog.Op
+	ops   []recorded
 	// writesOf accumulates the items written by each live transaction so
 	// the write effects can be appended at commit.
 	writesOf  map[int][]string
 	committed map[int]bool
+}
+
+// recorded is one served operation. own marks a read answered from the
+// transaction's own write buffer.
+type recorded struct {
+	op  oplog.Op
+	own bool
 }
 
 // Wrap returns a recording wrapper around inner.
@@ -66,21 +74,23 @@ func (r *Recorder) dropUncommitted(txn int) {
 		return
 	}
 	keep := r.ops[:0]
-	for _, op := range r.ops {
-		if op.Txn != txn {
-			keep = append(keep, op)
+	for _, rec := range r.ops {
+		if rec.op.Txn != txn {
+			keep = append(keep, rec)
 		}
 	}
 	r.ops = keep
 }
 
-// Read implements sched.Scheduler.
+// Read implements sched.Scheduler. A read of an item the transaction
+// already wrote is served from its own write buffer, not committed
+// state; it is recorded as such (see EffectLog).
 func (r *Recorder) Read(txn int, item string) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	v, err := r.inner.Read(txn, item)
 	if err == nil {
-		r.ops = append(r.ops, oplog.R(txn, item))
+		r.ops = append(r.ops, recorded{oplog.R(txn, item), slices.Contains(r.writesOf[txn], item)})
 	}
 	return v, err
 }
@@ -106,7 +116,7 @@ func (r *Recorder) Commit(txn int) error {
 		return err
 	}
 	for _, item := range r.writesOf[txn] {
-		r.ops = append(r.ops, oplog.W(txn, item))
+		r.ops = append(r.ops, recorded{op: oplog.W(txn, item)})
 	}
 	delete(r.writesOf, txn)
 	r.committed[txn] = true
@@ -122,15 +132,26 @@ func (r *Recorder) Abort(txn int) {
 	delete(r.writesOf, txn)
 }
 
-// CommittedLog returns the recorded effect order restricted to committed
-// transactions.
-func (r *Recorder) CommittedLog() *oplog.Log {
+// CommittedLog returns every served operation of the committed
+// transactions in recorded order, reads answered from a transaction's
+// own write buffer included.
+func (r *Recorder) CommittedLog() *oplog.Log { return r.log(true) }
+
+// EffectLog returns the committed effect order in the paper's model:
+// CommittedLog without the reads answered from a transaction's own write
+// buffer. Such a read orders the transaction against nobody; left in,
+// it shows a false cycle whenever another transaction's write of the
+// item commits between the read and the reader's commit. Classify this
+// log.
+func (r *Recorder) EffectLog() *oplog.Log { return r.log(false) }
+
+func (r *Recorder) log(ownReads bool) *oplog.Log {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var ops []oplog.Op
-	for _, op := range r.ops {
-		if r.committed[op.Txn] {
-			ops = append(ops, op)
+	for _, rec := range r.ops {
+		if r.committed[rec.op.Txn] && (ownReads || !rec.own) {
+			ops = append(ops, rec.op)
 		}
 	}
 	return oplog.NewLog(ops...)

@@ -84,6 +84,30 @@ func TestRecorderDropsFailedCommit(t *testing.T) {
 	}
 }
 
+// A read served from the transaction's own write buffer is not a read
+// of committed state: the effect log leaves it out, while the full
+// committed log keeps every served operation.
+func TestRecorderSkipsOwnWriteReads(t *testing.T) {
+	st := storage.New()
+	r := Wrap(sched.NewMT(st, sched.MTOptions{Core: engine.Options{K: 2}, DeferWrites: true}))
+	r.Begin(1)
+	if err := r.Write(1, "x", 5); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.Read(1, "x"); err != nil || v != 5 {
+		t.Fatalf("own-write read = %d, %v", v, err)
+	}
+	if err := r.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.EffectLog().String(); got != "W1[x]" {
+		t.Fatalf("effect log = %q, want W1[x] with no R1[x]", got)
+	}
+	if got := r.CommittedLog().String(); got != "R1[x] W1[x]" {
+		t.Fatalf("committed log = %q, want R1[x] W1[x]", got)
+	}
+}
+
 // The integration property: every non-blocking scheduler, run under real
 // goroutine concurrency, must produce a D-serializable committed history.
 func TestConcurrentHistoriesAreDSR(t *testing.T) {
@@ -132,7 +156,7 @@ func TestConcurrentHistoriesAreDSR(t *testing.T) {
 					MaxAttempts: 300,
 					Backoff:     10 * time.Microsecond,
 				})
-				l := rec.CommittedLog()
+				l := rec.EffectLog()
 				if !classify.DSR(l) {
 					t.Fatalf("round %d: committed history not DSR:\n%s", round, l)
 				}

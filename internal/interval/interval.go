@@ -14,7 +14,6 @@
 package interval
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -48,11 +47,10 @@ type Options struct {
 	NoCompact bool
 }
 
-// txnState holds a live transaction's interval (lo, hi), exclusive of lo.
-type txnState struct {
-	lo, hi int64 // interval (lo, hi]; valid while lo < hi
-	writes map[string]int64
-	order  []string
+// span is a transaction's timestamp interval (lo, hi], exclusive of
+// lo; valid while lo < hi.
+type span struct {
+	lo, hi int64
 }
 
 // Interval is the Bayer-style runtime scheduler.
@@ -60,13 +58,13 @@ type Interval struct {
 	mu    sync.Mutex
 	opts  Options
 	store *storage.Store
-	txns  map[int]*txnState
+	txns  sched.Txns[span]
 	// rt/wt track the most recent reader/writer ids per item, exactly
 	// like MT(k)'s indices, so both schemes see identical dependencies.
 	rt, wt map[string]int
 	// fin records final intervals of finished transactions still
-	// referenced by rt/wt.
-	fin map[int]*txnState
+	// referenced by rt/wt. Every id rt/wt name is live or in fin.
+	fin map[int]*span
 	// exhausted counts dependencies that failed only because an overlap
 	// had shrunk to nothing (fragmentation).
 	exhausted int64
@@ -83,14 +81,13 @@ func New(store *storage.Store, opts Options) *Interval {
 	iv := &Interval{
 		opts:  opts,
 		store: store,
-		txns:  make(map[int]*txnState),
 		rt:    make(map[string]int),
 		wt:    make(map[string]int),
-		fin:   make(map[int]*txnState),
+		fin:   make(map[int]*span),
 	}
 	// The virtual transaction 0 owns the degenerate interval (0, 0]: it
 	// precedes everything.
-	iv.fin[0] = &txnState{lo: 0, hi: 0}
+	iv.fin[0] = &span{lo: 0, hi: 0}
 	return iv
 }
 
@@ -111,26 +108,34 @@ func (iv *Interval) Exhausted() int64 {
 func (iv *Interval) Begin(txn int) {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	iv.txns[txn] = &txnState{lo: 0, hi: MaxTimestamp, writes: make(map[string]int64)}
+	iv.txns.Begin(txn, span{lo: 0, hi: MaxTimestamp})
 	delete(iv.fin, txn)
 }
 
-func (iv *Interval) state(txn int) *txnState {
-	if st := iv.txns[txn]; st != nil {
-		return st
+// spanOf returns the interval of a live or finished transaction (nil if
+// it is neither).
+func (iv *Interval) spanOf(txn int) *span {
+	if st := iv.txns.Lookup(txn); st != nil {
+		return &st.P
 	}
-	if st := iv.fin[txn]; st != nil {
-		return st
+	return iv.fin[txn]
+}
+
+// finish parks a live transaction's final interval in fin (rt/wt may
+// name it) and ends the incarnation.
+func (iv *Interval) finish(txn int) {
+	if st := iv.txns.End(txn); st != nil {
+		iv.fin[txn] = &st.P
 	}
-	panic(fmt.Sprintf("interval: operation on unknown transaction %d", txn))
+	iv.gc()
 }
 
 // before reports whether a's interval already lies entirely before b's.
-func before(a, b *txnState) bool { return a.hi <= b.lo }
+func before(a, b *span) bool { return a.hi <= b.lo }
 
 // encode shrinks the two intervals so that a precedes b, reporting
 // success. policyC picks the split point within (max(lo), min(hi)).
-func (iv *Interval) encode(a, b *txnState) bool {
+func (iv *Interval) encode(a, b *span) bool {
 	if a == b {
 		return true
 	}
@@ -140,16 +145,16 @@ func (iv *Interval) encode(a, b *txnState) bool {
 	if before(b, a) {
 		return false // the reverse order is already committed to
 	}
-	lo := max64(a.lo, b.lo)
-	hi := min64(a.hi, b.hi)
+	lo := max(a.lo, b.lo)
+	hi := min(a.hi, b.hi)
 	if hi-lo < 2 { // no room for a strict split: fragmentation
 		iv.exhausted++
 		if iv.opts.NoCompact {
 			return false
 		}
 		iv.compact()
-		lo = max64(a.lo, b.lo)
-		hi = min64(a.hi, b.hi)
+		lo = max(a.lo, b.lo)
+		hi = min(a.hi, b.hi)
 		if hi-lo < 2 {
 			return false
 		}
@@ -185,10 +190,10 @@ func (iv *Interval) encode(a, b *txnState) bool {
 func (iv *Interval) compact() {
 	iv.compactions++
 	endpoints := map[int64]bool{}
-	states := make([]*txnState, 0, len(iv.txns)+len(iv.fin))
-	for _, st := range iv.txns {
-		states = append(states, st)
-	}
+	states := make([]*span, 0, len(iv.fin))
+	iv.txns.Each(func(st *sched.Txn[span]) {
+		states = append(states, &st.P)
+	})
 	for t, st := range iv.fin {
 		if t == 0 {
 			continue // the virtual (0,0] stays fixed
@@ -226,27 +231,13 @@ func (iv *Interval) Compactions() int64 {
 	return iv.compactions
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // maxHolder picks RT(x) or WT(x) with the later interval (by lower bound).
 func (iv *Interval) maxHolder(x string) int {
 	r, w := iv.rt[x], iv.wt[x]
 	if r == w {
 		return r
 	}
-	if iv.state(r).lo < iv.state(w).lo {
+	if iv.spanOf(r).lo < iv.spanOf(w).lo {
 		return w
 	}
 	return r
@@ -256,12 +247,12 @@ func (iv *Interval) maxHolder(x string) int {
 func (iv *Interval) Read(txn int, item string) (int64, error) {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	st := iv.state(txn)
-	if v, ok := st.writes[item]; ok {
-		return v, nil
+	st, v, err := iv.txns.Read(txn, item)
+	if st == nil {
+		return v, err
 	}
 	j := iv.maxHolder(item)
-	if !iv.encode(iv.state(j), st) {
+	if !iv.encode(iv.spanOf(j), &st.P) {
 		return 0, sched.Abort(txn, j, "interval order violated")
 	}
 	iv.rt[item] = txn
@@ -272,46 +263,38 @@ func (iv *Interval) Read(txn int, item string) (int64, error) {
 func (iv *Interval) Write(txn int, item string, v int64) error {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	st := iv.state(txn)
-	if _, ok := st.writes[item]; !ok {
-		st.order = append(st.order, item)
-	}
-	st.writes[item] = v
-	return nil
+	return iv.txns.Write(txn, item, v)
 }
 
-// Commit implements sched.Scheduler.
+// Commit implements sched.Scheduler. Success or failure, the final
+// interval is kept while rt/wt may still reference it: a failed
+// validation may already have named the transaction in wt.
 func (iv *Interval) Commit(txn int) error {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	st := iv.state(txn)
-	for _, x := range st.order {
+	st, err := iv.txns.Get(txn)
+	if err != nil {
+		return err
+	}
+	for _, x := range st.Items() {
 		j := iv.maxHolder(x)
-		if !iv.encode(iv.state(j), st) {
-			delete(iv.txns, txn)
+		if !iv.encode(iv.spanOf(j), &st.P) {
+			iv.finish(txn)
 			return sched.Abort(txn, j, "interval order violated at commit")
 		}
 		iv.wt[x] = txn
 	}
-	iv.store.Apply(st.writes)
-	// Keep the final interval while rt/wt may still reference it.
-	iv.fin[txn] = st
-	delete(iv.txns, txn)
-	iv.gc()
+	st.Publish(iv.store)
+	iv.finish(txn)
 	return nil
 }
 
-// Abort implements sched.Scheduler.
+// Abort implements sched.Scheduler. The shrunk interval stays visible
+// through rt — conservative, like MT(k)'s aborted-reader residue.
 func (iv *Interval) Abort(txn int) {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	if st := iv.txns[txn]; st != nil {
-		// The shrunk interval stays visible through rt — conservative,
-		// like MT(k)'s aborted-reader residue.
-		iv.fin[txn] = st
-		delete(iv.txns, txn)
-	}
-	iv.gc()
+	iv.finish(txn)
 }
 
 // gc drops finished intervals no longer referenced by any rt/wt index.
@@ -335,6 +318,8 @@ func (iv *Interval) gc() {
 func (iv *Interval) Width(txn int) int64 {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	st := iv.state(txn)
-	return st.hi - st.lo
+	if st := iv.spanOf(txn); st != nil {
+		return st.hi - st.lo
+	}
+	return 0
 }

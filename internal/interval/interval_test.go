@@ -175,3 +175,43 @@ func TestReadYourOwnWrite(t *testing.T) {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
 }
+
+// A commit that fails validation after naming itself in wt(a) must
+// leave its final interval behind: the next access of a looks the
+// writer up through wt. Dropping the interval left wt dangling, and
+// that lookup panicked with "operation on unknown transaction".
+func TestFailedCommitKeepsIntervalForIndices(t *testing.T) {
+	s := New(storage.New(), Options{})
+	s.Begin(1)
+	s.Begin(3)
+	if _, err := s.Read(1, "c"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(3, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(3, "c", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(3); err != nil { // T1 < T3 through c
+		t.Fatal(err)
+	}
+	if err := s.Write(1, "a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(1, "b", 1); err != nil {
+		t.Fatal(err)
+	}
+	// a validates (wt(a) = T1); b needs T3 < T1 and fails.
+	if err := s.Commit(1); !errors.Is(err, sched.ErrAbort) {
+		t.Fatalf("commit = %v, want abort on b", err)
+	}
+	s.Abort(1)
+	s.Begin(4)
+	if _, err := s.Read(4, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(4); err != nil {
+		t.Fatal(err)
+	}
+}

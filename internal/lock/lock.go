@@ -6,7 +6,6 @@
 package lock
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -174,16 +173,12 @@ type TwoPL struct {
 	store *storage.Store
 
 	mu   sync.Mutex
-	txns map[int]*txnState
-}
-
-type txnState struct {
-	writes map[string]int64
+	txns sched.Txns[struct{}]
 }
 
 // NewTwoPL returns a strict-2PL scheduler over the store.
 func NewTwoPL(store *storage.Store) *TwoPL {
-	return &TwoPL{mgr: NewManager(), store: store, txns: make(map[int]*txnState)}
+	return &TwoPL{mgr: NewManager(), store: store}
 }
 
 // Name implements sched.Scheduler.
@@ -196,28 +191,17 @@ func (t *TwoPL) Manager() *Manager { return t.mgr }
 func (t *TwoPL) Begin(txn int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.txns[txn] = &txnState{writes: make(map[string]int64)}
-}
-
-func (t *TwoPL) state(txn int) *txnState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.txns[txn]
-	if st == nil {
-		panic(fmt.Sprintf("lock: operation on transaction %d without Begin", txn))
-	}
-	return st
+	t.txns.Begin(txn, struct{}{})
 }
 
 // Read implements sched.Scheduler: acquires a shared lock (blocking).
 func (t *TwoPL) Read(txn int, item string) (int64, error) {
-	st := t.state(txn)
 	t.mu.Lock()
-	if v, ok := st.writes[item]; ok {
-		t.mu.Unlock()
-		return v, nil
-	}
+	st, v, err := t.txns.Read(txn, item)
 	t.mu.Unlock()
+	if st == nil {
+		return v, err
+	}
 	if err := t.mgr.Acquire(txn, item, Shared); err != nil {
 		return 0, err
 	}
@@ -227,34 +211,38 @@ func (t *TwoPL) Read(txn int, item string) (int64, error) {
 // Write implements sched.Scheduler: acquires an exclusive lock (blocking)
 // and buffers the value.
 func (t *TwoPL) Write(txn int, item string, v int64) error {
-	st := t.state(txn)
+	t.mu.Lock()
+	_, err := t.txns.Get(txn)
+	t.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := t.mgr.Acquire(txn, item, Exclusive); err != nil {
 		return err
 	}
 	t.mu.Lock()
-	st.writes[item] = v
-	t.mu.Unlock()
-	return nil
+	defer t.mu.Unlock()
+	return t.txns.Write(txn, item, v)
 }
 
 // Commit implements sched.Scheduler: publishes the writes, then releases
 // every lock (strictness: no lock is released before commit).
 func (t *TwoPL) Commit(txn int) error {
 	t.mu.Lock()
-	st := t.txns[txn]
-	delete(t.txns, txn)
+	st, err := t.txns.Get(txn)
+	t.txns.End(txn)
 	t.mu.Unlock()
-	if st != nil {
-		t.store.Apply(st.writes)
+	if err == nil {
+		st.Publish(t.store)
 	}
 	t.mgr.ReleaseAll(txn)
-	return nil
+	return err
 }
 
 // Abort implements sched.Scheduler.
 func (t *TwoPL) Abort(txn int) {
 	t.mu.Lock()
-	delete(t.txns, txn)
+	t.txns.End(txn)
 	t.mu.Unlock()
 	t.mgr.ReleaseAll(txn)
 }

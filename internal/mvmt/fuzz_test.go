@@ -68,7 +68,7 @@ func TestFuzzMVMTLifecycle(t *testing.T) {
 			}
 		}()
 		// No dirty data: every store value must come from a successful
-		// commit (commit undo restores a previously committed top).
+		// commit (a failed commit publishes nothing).
 		for x, v := range st.Snapshot() {
 			if !allCommitted[v] {
 				t.Fatalf("seed %d: dirty value %d leaked into %s", seed, v, x)

@@ -50,16 +50,10 @@ type MVMT struct {
 	// versions[x] is ordered oldest..newest; index 0 is the virtual
 	// initial version written by T_0.
 	versions map[string][]*version
-	txns     map[int]*txnState
+	txns     sched.Txns[struct{}]
 	// readSlides counts reads served by an older version (the
 	// never-abort benefit made measurable).
 	readSlides int64
-}
-
-type txnState struct {
-	writes  map[string]int64
-	order   []string
-	blocker int // last transaction whose order forced a failure
 }
 
 // New returns a multiversion MT(k) scheduler over the store.
@@ -75,7 +69,6 @@ func New(store *storage.Store, opts Options) *MVMT {
 		tab:      engine.NewVectorTable(opts.K),
 		store:    store,
 		versions: make(map[string][]*version),
-		txns:     make(map[int]*txnState),
 	}
 }
 
@@ -94,15 +87,7 @@ func (m *MVMT) ReadSlides() int64 {
 func (m *MVMT) Begin(txn int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.txns[txn] = &txnState{writes: make(map[string]int64)}
-}
-
-func (m *MVMT) state(txn int) *txnState {
-	st := m.txns[txn]
-	if st == nil {
-		panic(fmt.Sprintf("mvmt: operation on transaction %d without Begin", txn))
-	}
-	return st
+	m.txns.Begin(txn, struct{}{})
 }
 
 // stack returns the version stack of x, creating the virtual initial
@@ -121,14 +106,14 @@ func (m *MVMT) stack(x string) []*version {
 func (m *MVMT) Read(txn int, item string) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.state(txn)
-	if v, ok := st.writes[item]; ok {
-		return v, nil
+	st, v, err := m.txns.Read(txn, item)
+	if st == nil {
+		return v, err
 	}
 	vs := m.stack(item)
 	for i := len(vs) - 1; i >= 0; i-- {
-		v := vs[i]
-		if !m.tab.Set(v.writer, txn, false) {
+		ver := vs[i]
+		if !m.tab.Set(ver.writer, txn, false) {
 			// TS(txn) < TS(writer) established: slide to an older version.
 			continue
 		}
@@ -138,10 +123,10 @@ func (m *MVMT) Read(txn int, item string) (int64, error) {
 		// Chain after the version's current max reader; if the reader is
 		// already ordered after us, the line-9 analogue applies: we read
 		// the version without becoming its max reader.
-		if v.reader == 0 || m.tab.Set(v.reader, txn, false) {
-			v.reader = txn
+		if ver.reader == 0 || m.tab.Set(ver.reader, txn, false) {
+			ver.reader = txn
 		}
-		return v.value, nil
+		return ver.value, nil
 	}
 	return 0, sched.Abort(txn, 0, "all admissible versions pruned")
 }
@@ -150,39 +135,43 @@ func (m *MVMT) Read(txn int, item string) (int64, error) {
 func (m *MVMT) Write(txn int, item string, v int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.state(txn)
-	if _, ok := st.writes[item]; !ok {
-		st.order = append(st.order, item)
-	}
-	st.writes[item] = v
-	return nil
+	return m.txns.Write(txn, item, v)
 }
 
 // Commit implements sched.Scheduler: each write finds its slot in the
 // version order and aborts only if a reader of the superseded version is
-// already ordered after the writer (Reed's rule, vector form). The whole
-// write set installs atomically: a failure on any item undoes the
-// versions already inserted during this commit (nobody can have read them
-// — the scheduler mutex is held throughout).
+// already ordered after the writer (Reed's rule, vector form). The
+// versions install first — a failure on any item undoes those already
+// inserted during this commit (nobody can have read them: the scheduler
+// mutex is held throughout) — and then the write set publishes once,
+// keeping only the items where the new version is the newest, since the
+// committed store mirrors each item's newest version.
 func (m *MVMT) Commit(txn int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.state(txn)
+	st, err := m.txns.Get(txn)
+	if err != nil {
+		return err
+	}
 	var installed []string
-	undoTop := map[string]int64{}
-	for _, x := range st.order {
-		undoTop[x] = m.store.Get(x)
-		if err := m.installVersion(txn, x, st.writes[x]); err != nil {
-			for _, ix := range installed {
-				m.removeVersion(txn, ix)
-				m.store.Set(ix, undoTop[ix])
-			}
-			// Keep the blocker so Abort can reseed the vector.
-			return err
+	err = st.Validate(func(x string) (bool, error) {
+		v, _ := st.Lookup(x)
+		newest, err := m.installVersion(st, txn, x, v)
+		if err != nil {
+			return false, err
 		}
 		installed = append(installed, x)
+		return !newest, nil
+	})
+	if err != nil {
+		for _, x := range installed {
+			m.removeVersion(txn, x)
+		}
+		m.abort(txn)
+		return err
 	}
-	delete(m.txns, txn)
+	st.Publish(m.store)
+	m.txns.End(txn)
 	return nil
 }
 
@@ -198,31 +187,27 @@ func (m *MVMT) removeVersion(txn int, x string) {
 	m.versions[x] = keep
 }
 
-// installVersion inserts txn's write of x into the version stack.
-func (m *MVMT) installVersion(txn int, x string, val int64) error {
+// installVersion inserts st's write of x into the version stack and
+// reports whether the new version is the item's newest.
+func (m *MVMT) installVersion(st *sched.Txn[struct{}], txn int, x string, val int64) (bool, error) {
 	vs := m.stack(x)
-	st := m.txns[txn]
 	slot := -1
 	for i := len(vs) - 1; i >= 0; i-- {
 		if m.tab.Set(vs[i].writer, txn, false) {
 			slot = i
 			break
 		}
-		if st != nil {
-			st.blocker = vs[i].writer
-		}
+		st.Blocker = vs[i].writer
 		// TS(txn) < TS(vs[i].writer) established: insert below.
 	}
 	if slot < 0 {
-		return sched.Abort(txn, 0, "write below every retained version")
+		return false, sched.Abort(txn, 0, "write below every retained version")
 	}
 	sup := vs[slot]
 	// Readers of the superseded version must precede the new version.
 	if sup.reader != 0 && !m.tab.Set(sup.reader, txn, false) {
-		if st != nil {
-			st.blocker = sup.reader
-		}
-		return sched.Abort(txn, sup.reader, "later read already saw the old version")
+		st.Blocker = sup.reader
+		return false, sched.Abort(txn, sup.reader, "later read already saw the old version")
 	}
 	nv := &version{writer: txn, value: val}
 	vs = append(vs, nil)
@@ -233,9 +218,7 @@ func (m *MVMT) installVersion(txn int, x string, val int64) error {
 		vs = vs[len(vs)-m.opts.MaxVersions:]
 	}
 	m.versions[x] = vs
-	// The committed store always mirrors the newest version.
-	m.store.Set(x, vs[len(vs)-1].value)
-	return nil
+	return vs[len(vs)-1] == nv, nil
 }
 
 // Abort implements sched.Scheduler. The transaction's vector is flushed
@@ -246,13 +229,17 @@ func (m *MVMT) installVersion(txn int, x string, val int64) error {
 func (m *MVMT) Abort(txn int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.txns[txn]
-	if st != nil && st.blocker != 0 {
-		if b := m.tab.Vector(st.blocker).Elem(1); b.Defined {
+	m.abort(txn)
+}
+
+// abort ends txn's incarnation, reseeding its vector past the blocker.
+// A failed Commit runs it too, so the reseed survives the incarnation.
+func (m *MVMT) abort(txn int) {
+	if st := m.txns.End(txn); st != nil && st.Blocker != 0 {
+		if b := m.tab.Vector(st.Blocker).Elem(1); b.Defined {
 			m.tab.ReseedFirst(txn, b.V)
 		}
 	}
-	delete(m.txns, txn)
 }
 
 // Versions returns the number of live versions of an item (tests).

@@ -7,7 +7,6 @@
 package occ
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -22,23 +21,23 @@ type OCC struct {
 	// transactions tagged with their commit sequence number.
 	committed []committedTxn
 	commitSeq int64
-	txns      map[int]*txnState
+	txns      sched.Txns[occState]
 }
 
 type committedTxn struct {
 	seq    int64
-	writes map[string]bool
+	writes []string
 }
 
-type txnState struct {
+// occState is an incarnation's validation state.
+type occState struct {
 	startSeq int64
 	reads    map[string]bool
-	writes   map[string]int64
 }
 
 // New returns an OCC scheduler over the store.
 func New(store *storage.Store) *OCC {
-	return &OCC{store: store, txns: make(map[int]*txnState)}
+	return &OCC{store: store}
 }
 
 // Name implements sched.Scheduler.
@@ -48,19 +47,7 @@ func (o *OCC) Name() string { return "OCC" }
 func (o *OCC) Begin(txn int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.txns[txn] = &txnState{
-		startSeq: o.commitSeq,
-		reads:    make(map[string]bool),
-		writes:   make(map[string]int64),
-	}
-}
-
-func (o *OCC) state(txn int) *txnState {
-	st := o.txns[txn]
-	if st == nil {
-		panic(fmt.Sprintf("occ: operation on transaction %d without Begin", txn))
-	}
-	return st
+	o.txns.Begin(txn, occState{startSeq: o.commitSeq, reads: make(map[string]bool)})
 }
 
 // Read implements sched.Scheduler: always succeeds; the item joins the
@@ -68,11 +55,11 @@ func (o *OCC) state(txn int) *txnState {
 func (o *OCC) Read(txn int, item string) (int64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	st := o.state(txn)
-	if v, ok := st.writes[item]; ok {
-		return v, nil
+	st, v, err := o.txns.Read(txn, item)
+	if st == nil {
+		return v, err
 	}
-	st.reads[item] = true
+	st.P.reads[item] = true
 	return o.store.Get(item), nil
 }
 
@@ -80,8 +67,7 @@ func (o *OCC) Read(txn int, item string) (int64, error) {
 func (o *OCC) Write(txn int, item string, v int64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.state(txn).writes[item] = v
-	return nil
+	return o.txns.Write(txn, item, v)
 }
 
 // Commit implements sched.Scheduler: serial validation — abort if any
@@ -89,28 +75,27 @@ func (o *OCC) Write(txn int, item string, v int64) error {
 func (o *OCC) Commit(txn int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	st := o.state(txn)
+	st, err := o.txns.Get(txn)
+	if err != nil {
+		return err
+	}
 	for _, c := range o.committed {
-		if c.seq <= st.startSeq {
+		if c.seq <= st.P.startSeq {
 			continue
 		}
-		for x := range c.writes {
-			if st.reads[x] {
-				delete(o.txns, txn)
+		for _, x := range c.writes {
+			if st.P.reads[x] {
+				o.txns.End(txn)
 				return sched.Abort(txn, 0, "read set invalidated by "+x)
 			}
 		}
 	}
 	o.commitSeq++
-	ws := make(map[string]bool, len(st.writes))
-	for x := range st.writes {
-		ws[x] = true
-	}
-	if len(ws) > 0 {
+	if ws := st.Items(); len(ws) > 0 {
 		o.committed = append(o.committed, committedTxn{seq: o.commitSeq, writes: ws})
 	}
-	o.store.Apply(st.writes)
-	delete(o.txns, txn)
+	st.Publish(o.store)
+	o.txns.End(txn)
 	o.gc()
 	return nil
 }
@@ -118,11 +103,9 @@ func (o *OCC) Commit(txn int) error {
 // gc prunes validation-log entries older than every active transaction.
 func (o *OCC) gc() {
 	minStart := o.commitSeq
-	for _, st := range o.txns {
-		if st.startSeq < minStart {
-			minStart = st.startSeq
-		}
-	}
+	o.txns.Each(func(st *sched.Txn[occState]) {
+		minStart = min(minStart, st.P.startSeq)
+	})
 	keep := o.committed[:0]
 	for _, c := range o.committed {
 		if c.seq > minStart {
@@ -136,7 +119,7 @@ func (o *OCC) gc() {
 func (o *OCC) Abort(txn int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	delete(o.txns, txn)
+	o.txns.End(txn)
 	o.gc()
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,7 @@ type DMT struct {
 	gmu     *sync.Mutex      // non-nil in the coarse reference variant
 
 	mu    sync.Mutex
-	txns  map[int]*mtTxn
+	txns  Txns[dmtState]
 	steps atomic.Int64
 
 	// trackWindows enables degraded-window accounting and home-site
@@ -59,6 +60,15 @@ type DMT struct {
 	rejected    atomic.Int64 // commits refused because the queue was full
 	winAttempts atomic.Int64 // commit attempts made during a degraded window
 	winCommits  atomic.Int64 // of those, how many committed
+}
+
+// dmtState is an incarnation's degraded-mode bookkeeping: whether it
+// has validated any protocol step (a parked attempt may only resume if
+// nothing was validated against pre-crash state), and whether it was
+// already counted as a degraded-window attempt.
+type dmtState struct {
+	stepped    bool
+	winCounted bool
 }
 
 // Parking configures degraded-mode commits: instead of failing fast,
@@ -173,7 +183,6 @@ func newDMT(store *storage.Store, opts dmt.Options) *DMT {
 		cluster:      dmt.NewCluster(opts),
 		store:        store,
 		sites:        opts.Sites,
-		txns:         make(map[int]*mtTxn),
 		trackWindows: opts.Transport != nil,
 	}
 }
@@ -211,19 +220,22 @@ func (d *DMT) Cluster() *dmt.Cluster { return d.cluster }
 // Begin implements Scheduler.
 func (d *DMT) Begin(txn int) {
 	d.mu.Lock()
-	d.txns[txn] = &mtTxn{writes: make(map[string]int64)}
+	d.txns.Begin(txn, dmtState{})
 	d.mu.Unlock()
 }
 
-// state returns the live incarnation's buffers, or nil if the
-// transaction has no live incarnation (never began, or was aborted by a
-// timed-out runtime attempt whose straggler operation arrives late).
-// Returning nil instead of panicking keeps a degraded run alive: the
-// caller answers such stray operations with a plain abort.
-func (d *DMT) state(txn int) *mtTxn {
+// state returns txn's live incarnation, or the stray-operation abort.
+func (d *DMT) state(txn int) (*Txn[dmtState], error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.txns[txn]
+	return d.txns.Get(txn)
+}
+
+// live reports whether txn has a live incarnation.
+func (d *DMT) live(txn int) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.txns.Live(txn)
 }
 
 // Read implements Scheduler. Striped: the item's latch is held from
@@ -231,16 +243,12 @@ func (d *DMT) state(txn int) *mtTxn {
 // committed state the decision was made against.
 func (d *DMT) Read(txn int, item string) (int64, error) {
 	defer d.serialize()()
-	st := d.state(txn)
-	if st == nil {
-		return 0, Abort(txn, 0, "no live incarnation")
-	}
 	d.mu.Lock()
-	if v, ok := st.writes[item]; ok {
-		d.mu.Unlock()
-		return v, nil
-	}
+	st, v, err := d.txns.Read(txn, item)
 	d.mu.Unlock()
+	if st == nil {
+		return v, err
+	}
 	if err := d.admitStep(txn, st); err != nil {
 		return 0, err
 	}
@@ -252,23 +260,18 @@ func (d *DMT) Read(txn int, item string) (int64, error) {
 	}
 	if dec.Verdict == core.Reject {
 		d.mu.Lock()
-		st.blocker = dec.Blocker
+		st.Blocker = dec.Blocker
 		d.mu.Unlock()
 		return 0, Abort(txn, dec.Blocker, "read rejected")
 	}
 	d.mu.Lock()
-	st.stepped = true
+	st.P.stepped = true
 	d.mu.Unlock()
 	// No dirty-read window: the cluster publishes WT(x) at write time but
 	// the data publishes at commit; conservatively abort reads over items
 	// with a live writer (cheap check via the adapter's live set).
-	if w := d.cluster.WTHolder(item); w != 0 && w != txn {
-		d.mu.Lock()
-		_, live := d.txns[w]
-		d.mu.Unlock()
-		if live {
-			return 0, Abort(txn, w, "read over uncommitted writer")
-		}
+	if w := d.cluster.WTHolder(item); w != 0 && w != txn && d.live(w) {
+		return 0, Abort(txn, w, "read over uncommitted writer")
 	}
 	d.maybeGC()
 	return d.store.Get(item), nil
@@ -278,9 +281,9 @@ func (d *DMT) Read(txn int, item string) (int64, error) {
 // buffered for atomic publication at commit.
 func (d *DMT) Write(txn int, item string, v int64) error {
 	defer d.serialize()()
-	st := d.state(txn)
-	if st == nil {
-		return Abort(txn, 0, "no live incarnation")
+	st, err := d.state(txn)
+	if err != nil {
+		return err
 	}
 	if err := d.admitStep(txn, st); err != nil {
 		return err
@@ -295,17 +298,12 @@ func (d *DMT) Write(txn int, item string, v int64) error {
 	// protocol step so the previous writer cannot publish (nor a new
 	// writer slip in) between the two.
 	unlock := d.latch(item)
-	if w := d.cluster.WTHolder(item); w != 0 && w != txn {
+	if w := d.cluster.WTHolder(item); w != 0 && w != txn && d.live(w) {
 		d.mu.Lock()
-		_, live := d.txns[w]
-		if live {
-			st.blocker = w
-		}
+		st.Blocker = w
 		d.mu.Unlock()
-		if live {
-			unlock()
-			return Abort(txn, w, "write over uncommitted writer")
-		}
+		unlock()
+		return Abort(txn, w, "write over uncommitted writer")
 	}
 	dec := d.cluster.Step(oplog.W(txn, item))
 	unlock()
@@ -315,13 +313,13 @@ func (d *DMT) Write(txn int, item string, v int64) error {
 	}
 	if dec.Verdict == core.Reject {
 		d.mu.Lock()
-		st.blocker = dec.Blocker
+		st.Blocker = dec.Blocker
 		d.mu.Unlock()
 		return Abort(txn, dec.Blocker, "write rejected")
 	}
 	d.mu.Lock()
-	st.writes[item] = v
-	st.stepped = true
+	st.Put(item, v)
+	st.P.stepped = true
 	d.mu.Unlock()
 	return nil
 }
@@ -335,15 +333,15 @@ func (d *DMT) Write(txn int, item string, v int64) error {
 // state the crash destroyed) all fail fast with ErrUnavailable, which
 // the runtime's unavailability budget absorbs. No-op without a
 // transport.
-func (d *DMT) admitStep(txn int, st *mtTxn) error {
+func (d *DMT) admitStep(txn int, st *Txn[dmtState]) error {
 	if !d.trackWindows && d.breaker == nil {
 		return nil
 	}
 	home := d.cluster.TxnSite(txn)
 	if d.trackWindows && !d.cluster.SiteUp(home) {
 		d.mu.Lock()
-		counted, stepped := st.winCounted, st.stepped
-		st.winCounted = true
+		counted, stepped := st.P.winCounted, st.P.stepped
+		st.P.winCounted = true
 		d.mu.Unlock()
 		if !counted {
 			d.winAttempts.Add(1)
@@ -392,13 +390,15 @@ func (d *DMT) observeStep(txn int, dec core.Decision) {
 // BEFORE the coarse variant's global mutex is taken, so waiting commits
 // never block reads and writes at reachable sites.
 func (d *DMT) Commit(txn int) error {
+	st, err := d.state(txn)
+	if err != nil {
+		return err
+	}
 	home := d.cluster.TxnSite(txn)
 	var track bool
 	if d.trackWindows {
 		d.mu.Lock()
-		if st := d.txns[txn]; st != nil && st.winCounted {
-			track = true // attempt already counted at a parked/refused step
-		}
+		track = st.P.winCounted // attempt already counted at a parked/refused step
 		d.mu.Unlock()
 		if !track && d.cluster.InDegradedWindow() {
 			track = true
@@ -412,31 +412,27 @@ func (d *DMT) Commit(txn int) error {
 	}
 	defer d.serialize()()
 	d.mu.Lock()
-	st := d.txns[txn]
+	lost := d.txns.Lookup(txn) != st
+	items := slices.Clone(st.Items())
 	d.mu.Unlock()
-	if st != nil {
-		// Striped: hold the write set's latches across the publish and
-		// the protocol commit, so a concurrent reader of a written item
-		// sees either the pre-commit state with the pre-commit ordering
-		// or the post-commit state with the post-commit ordering. The
-		// live-set entry is removed only after the publish: the
-		// uncommitted-writer guards key off it, and deleting it first
-		// would open a window where a guard sees "not live" while the
-		// buffered writes are still unpublished.
-		items := make([]string, 0, len(st.writes))
-		for x := range st.writes {
-			items = append(items, x)
-		}
-		unlock := d.latch(items...)
-		d.store.ApplyTxn(txn, st.writes)
-		d.cluster.Commit(txn)
-		d.mu.Lock()
-		delete(d.txns, txn)
-		d.mu.Unlock()
-		unlock()
-	} else {
-		d.cluster.Commit(txn)
+	if lost {
+		// Aborted or restarted by a stray while parked.
+		return Abort(txn, 0, "transaction state lost before commit")
 	}
+	// Striped: hold the write set's latches across the publish and the
+	// protocol commit, so a concurrent reader of a written item sees
+	// either the pre-commit state with the pre-commit ordering or the
+	// post-commit state with the post-commit ordering. The incarnation
+	// ends only after the publish: the uncommitted-writer guards key off
+	// it, and ending it first would open a window where a guard sees
+	// "not live" while the buffered writes are still unpublished.
+	unlock := d.latch(items...)
+	st.Publish(d.store)
+	d.cluster.Commit(txn)
+	d.mu.Lock()
+	d.txns.End(txn)
+	d.mu.Unlock()
+	unlock()
 	if d.breaker != nil {
 		d.breaker.Observe(home, true)
 	}
@@ -495,13 +491,11 @@ func (d *DMT) parkWait(txn, home int) error {
 // Abort implements Scheduler.
 func (d *DMT) Abort(txn int) {
 	defer d.serialize()()
-	d.mu.Lock()
-	st := d.txns[txn]
 	blocker := 0
-	if st != nil {
-		blocker = st.blocker
+	d.mu.Lock()
+	if st := d.txns.End(txn); st != nil {
+		blocker = st.Blocker
 	}
-	delete(d.txns, txn)
 	d.mu.Unlock()
 	d.cluster.Abort(txn, blocker)
 }

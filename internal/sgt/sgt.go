@@ -8,7 +8,6 @@
 package sgt
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -30,14 +29,10 @@ type SGT struct {
 	history map[string][]*access
 	// edges is the conflict digraph (adjacency sets).
 	edges map[int]map[int]bool
-	live  map[int]*txnState
+	txns  sched.Txns[struct{}]
 	// committedLive tracks committed transactions that still participate
 	// in the graph because a cycle through them is possible.
 	committed map[int]bool
-}
-
-type txnState struct {
-	writes map[string]int64
 }
 
 // New returns an SGT scheduler over the store.
@@ -46,7 +41,6 @@ func New(store *storage.Store) *SGT {
 		store:     store,
 		history:   make(map[string][]*access),
 		edges:     make(map[int]map[int]bool),
-		live:      make(map[int]*txnState),
 		committed: make(map[int]bool),
 	}
 }
@@ -58,15 +52,7 @@ func (s *SGT) Name() string { return "SGT" }
 func (s *SGT) Begin(txn int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.live[txn] = &txnState{writes: make(map[string]int64)}
-}
-
-func (s *SGT) state(txn int) *txnState {
-	st := s.live[txn]
-	if st == nil {
-		panic(fmt.Sprintf("sgt: operation on transaction %d without Begin", txn))
-	}
-	return st
+	s.txns.Begin(txn, struct{}{})
 }
 
 // addEdge inserts u -> v.
@@ -136,6 +122,17 @@ func (s *SGT) observe(txn int, item string, write bool) error {
 	return nil
 }
 
+// uncommittedWriter returns a live transaction other than txn that
+// wrote item, or 0.
+func (s *SGT) uncommittedWriter(txn int, item string) int {
+	for _, a := range s.history[item] {
+		if a.wrote && a.txn != txn && s.txns.Live(a.txn) {
+			return a.txn
+		}
+	}
+	return 0
+}
+
 // Read implements sched.Scheduler. A read over an item with a live
 // (uncommitted) writer aborts: the conflict edge would order the reader
 // after the writer while the committed store still holds the old value
@@ -143,16 +140,12 @@ func (s *SGT) observe(txn int, item string, write bool) error {
 func (s *SGT) Read(txn int, item string) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(txn)
-	if v, ok := st.writes[item]; ok {
-		return v, nil
+	st, v, err := s.txns.Read(txn, item)
+	if st == nil {
+		return v, err
 	}
-	for _, a := range s.history[item] {
-		if a.wrote && a.txn != txn {
-			if _, live := s.live[a.txn]; live {
-				return 0, sched.Abort(txn, a.txn, "read over uncommitted writer")
-			}
-		}
+	if w := s.uncommittedWriter(txn, item); w != 0 {
+		return 0, sched.Abort(txn, w, "read over uncommitted writer")
 	}
 	if err := s.observe(txn, item, false); err != nil {
 		return 0, err
@@ -161,15 +154,25 @@ func (s *SGT) Read(txn int, item string) (int64, error) {
 }
 
 // Write implements sched.Scheduler: the conflict edges are inserted at
-// write time; data publishes at commit.
+// write time; data publishes at commit. At most one uncommitted writer
+// per item is admitted: the edge orders the second writer after the
+// first, but the data publishes in commit order, so the first writer
+// committing last would overwrite the later-ordered value (a lost
+// update). The second writer aborts instead.
 func (s *SGT) Write(txn int, item string, v int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(txn)
+	st, err := s.txns.Get(txn)
+	if err != nil {
+		return err
+	}
+	if w := s.uncommittedWriter(txn, item); w != 0 {
+		return sched.Abort(txn, w, "write conflicts with uncommitted writer")
+	}
 	if err := s.observe(txn, item, true); err != nil {
 		return err
 	}
-	st.writes[item] = v
+	st.Put(item, v)
 	return nil
 }
 
@@ -177,21 +180,26 @@ func (s *SGT) Write(txn int, item string, v int64) error {
 func (s *SGT) Commit(txn int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(txn)
-	s.store.Apply(st.writes)
-	delete(s.live, txn)
+	st, err := s.txns.Get(txn)
+	if err != nil {
+		return err
+	}
+	st.Publish(s.store)
+	s.txns.End(txn)
 	s.committed[txn] = true
 	s.gc()
 	return nil
 }
 
-// Abort implements sched.Scheduler: the transaction's node, edges and
-// access records disappear.
+// Abort implements sched.Scheduler: the live transaction's node, edges
+// and access records disappear (a committed node stays: it may still
+// close a cycle).
 func (s *SGT) Abort(txn int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.live, txn)
-	s.removeNode(txn)
+	if s.txns.End(txn) != nil {
+		s.removeNode(txn)
+	}
 }
 
 func (s *SGT) removeNode(txn int) {

@@ -166,3 +166,35 @@ func TestWritesInvisibleUntilCommit(t *testing.T) {
 		t.Fatal("aborted write applied")
 	}
 }
+
+// At most one uncommitted writer per item: the conflict edge orders the
+// second writer after the first, but data publishes in commit order, so
+// the first writer committing last would overwrite the later value.
+func TestSecondUncommittedWriterAborts(t *testing.T) {
+	st := storage.New()
+	s := New(st)
+	s.Begin(1)
+	s.Begin(2)
+	if err := s.Write(1, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Write(2, "x", 2)
+	var ae *sched.AbortError
+	if !errors.As(err, &ae) || ae.Blocker != 1 || ae.Reason != "write conflicts with uncommitted writer" {
+		t.Fatalf("second writer: %v, want the uncommitted-writer abort blocked by T1", err)
+	}
+	s.Abort(2)
+	if err := s.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	s.Begin(2)
+	if err := s.Write(2, "x", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Get("x"); got != 2 {
+		t.Fatalf("x = %d, want the later writer's 2", got)
+	}
+}

@@ -1,8 +1,8 @@
 // Package storage provides the in-memory key-value store the transaction
 // runtime executes against. Values are int64 (enough for the paper's
 // workloads: account balances, counters). The store only ever holds
-// committed data: schedulers buffer writes and Apply them atomically at
-// commit (the paper's Section VI-C-2 "two-phase commit for each write
+// committed data: schedulers buffer writes and ApplyTxn them atomically
+// at commit (the paper's Section VI-C-2 "two-phase commit for each write
 // operation" — temporary copies stay invisible to other transactions).
 //
 // Items are interned to dense int32 ids (the store owns the intern
@@ -38,8 +38,7 @@ const shardCount = 64
 // store only for the duration of the call: a hook that retains them
 // must copy.
 type ApplyEvent struct {
-	// Txn is the committing transaction (0 for anonymous batches such
-	// as Set and legacy Apply callers).
+	// Txn is the committing transaction (0 for anonymous Set batches).
 	Txn int
 	// Writes is the committed batch.
 	Writes map[string]int64
@@ -93,7 +92,7 @@ type Store struct {
 	// version counter and the journal hook. It nests strictly inside the
 	// shard locks (ApplyTxn holds the batch's shards, then commitMu).
 	commitMu sync.Mutex
-	// version counts committed Apply batches, handy for validation
+	// version counts committed batches, handy for validation
 	// schemes that need a cheap global commit counter. Guarded by
 	// commitMu.
 	version int64
@@ -236,11 +235,6 @@ func (s *Store) lockedGet(id int32) int64 {
 		return 0
 	}
 	return sh.vals[li]
-}
-
-// Apply commits a write batch atomically and returns the new version.
-func (s *Store) Apply(writes map[string]int64) int64 {
-	return s.ApplyTxn(0, writes)
 }
 
 // shardSet is the fixed-size scratch for a batch's deduplicated shard

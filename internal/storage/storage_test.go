@@ -17,7 +17,7 @@ func TestGetSetApply(t *testing.T) {
 		t.Fatal("Set not visible")
 	}
 	v0 := s.Version()
-	s.Apply(map[string]int64{"x": 1, "y": 2})
+	s.ApplyTxn(1, map[string]int64{"x": 1, "y": 2})
 	if s.Get("x") != 1 || s.Get("y") != 2 {
 		t.Fatal("Apply not visible")
 	}
@@ -28,7 +28,7 @@ func TestGetSetApply(t *testing.T) {
 
 func TestGetManySnapshotSum(t *testing.T) {
 	s := New()
-	s.Apply(map[string]int64{"a": 1, "b": 2, "c": 3})
+	s.ApplyTxn(1, map[string]int64{"a": 1, "b": 2, "c": 3})
 	m := s.GetMany([]string{"a", "c", "zz"})
 	if m["a"] != 1 || m["c"] != 3 || m["zz"] != 0 {
 		t.Fatalf("GetMany = %v", m)
@@ -51,7 +51,7 @@ func TestConcurrentApply(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s.Apply(map[string]int64{"x": int64(w)})
+				s.ApplyTxn(w+1, map[string]int64{"x": int64(w)})
 				s.Get("x")
 				s.Sum([]string{"x"})
 			}

@@ -7,7 +7,6 @@
 package tsto
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -30,16 +29,10 @@ type TO struct {
 	opts  Options
 	store *storage.Store
 	next  int64
-	rts   map[string]int64 // read high-water mark per item
-	wts   map[string]int64 // write high-water mark per item
-	wtxn  map[string]int   // id of the transaction holding wts (immediate mode)
-	txns  map[int]*txnState
-}
-
-type txnState struct {
-	ts     int64
-	writes map[string]int64
-	order  []string
+	rts   map[string]int64  // read high-water mark per item
+	wts   map[string]int64  // write high-water mark per item
+	wtxn  map[string]int    // id of the transaction holding wts (immediate mode)
+	txns  sched.Txns[int64] // incarnation state: its timestamp
 }
 
 // New returns a TO(1) scheduler over the store.
@@ -50,7 +43,6 @@ func New(store *storage.Store, opts Options) *TO {
 		rts:   make(map[string]int64),
 		wts:   make(map[string]int64),
 		wtxn:  make(map[string]int),
-		txns:  make(map[int]*txnState),
 	}
 }
 
@@ -63,25 +55,17 @@ func (t *TO) Begin(txn int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next++
-	t.txns[txn] = &txnState{ts: t.next, writes: make(map[string]int64)}
+	t.txns.Begin(txn, t.next)
 }
 
 // Timestamp returns the scalar timestamp of a live transaction (tests).
 func (t *TO) Timestamp(txn int) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st := t.txns[txn]; st != nil {
-		return st.ts
+	if st := t.txns.Lookup(txn); st != nil {
+		return st.P
 	}
 	return 0
-}
-
-func (t *TO) state(txn int) *txnState {
-	st := t.txns[txn]
-	if st == nil {
-		panic(fmt.Sprintf("tsto: operation on transaction %d without Begin", txn))
-	}
-	return st
 }
 
 // Read implements sched.Scheduler: rejected when a newer write exists
@@ -89,63 +73,80 @@ func (t *TO) state(txn int) *txnState {
 func (t *TO) Read(txn int, item string) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state(txn)
-	if v, ok := st.writes[item]; ok {
-		return v, nil
+	st, v, err := t.txns.Read(txn, item)
+	if st == nil {
+		return v, err
 	}
-	if st.ts < t.wts[item] {
+	if st.P < t.wts[item] {
 		return 0, sched.Abort(txn, 0, "read too late")
 	}
 	// Immediate mode publishes wt(x) at write time but data at commit: a
 	// read past a live writer would see stale data while serializing
 	// after the writer — abort instead (no dirty-read window).
-	if w := t.wtxn[item]; w != 0 && w != txn {
-		if _, live := t.txns[w]; live {
-			return 0, sched.Abort(txn, w, "read over uncommitted writer")
-		}
+	if w := t.uncommittedWriter(txn, item); w != 0 {
+		return 0, sched.Abort(txn, w, "read over uncommitted writer")
 	}
-	if st.ts > t.rts[item] {
-		t.rts[item] = st.ts
+	if st.P > t.rts[item] {
+		t.rts[item] = st.P
 	}
 	return t.store.Get(item), nil
 }
 
+// uncommittedWriter returns the live transaction other than txn whose
+// write holds wt(item), or 0 (immediate mode only: deferred writes set
+// wt(item) at commit).
+func (t *TO) uncommittedWriter(txn int, item string) int {
+	if w := t.wtxn[item]; w != txn && t.txns.Live(w) {
+		return w
+	}
+	return 0
+}
+
 // validateWrite applies the TO write rules for one item, returning
 // (skip, err): skip means the Thomas rule drops the write.
-func (t *TO) validateWrite(st *txnState, txn int, item string) (bool, error) {
-	if st.ts < t.rts[item] {
+func (t *TO) validateWrite(ts int64, txn int, item string) (bool, error) {
+	if ts < t.rts[item] {
 		return false, sched.Abort(txn, 0, "write after later read")
 	}
-	if st.ts < t.wts[item] {
+	if ts < t.wts[item] {
 		if t.opts.ThomasWriteRule {
 			return true, nil
 		}
 		return false, sched.Abort(txn, 0, "write after later write")
 	}
-	t.wts[item] = st.ts
+	t.wts[item] = ts
 	t.wtxn[item] = txn
 	return false, nil
 }
 
 // Write implements sched.Scheduler.
+//
+// Immediate mode admits at most one uncommitted writer per item: wt(x)
+// moves at write time but the data publishes at commit, so with two
+// live writers of x the later-ordered one could publish first and be
+// overwritten by the earlier one — a lost update. The second writer
+// aborts instead, mirroring the read-side guard.
 func (t *TO) Write(txn int, item string, v int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state(txn)
+	st, err := t.txns.Get(txn)
+	if err != nil {
+		return err
+	}
 	if !t.opts.DeferWrites {
-		skip, err := t.validateWrite(st, txn, item)
+		if w := t.uncommittedWriter(txn, item); w != 0 {
+			return sched.Abort(txn, w, "write conflicts with uncommitted writer")
+		}
+		skip, err := t.validateWrite(st.P, txn, item)
 		if err != nil {
 			return err
 		}
 		if skip {
-			delete(st.writes, item)
+			st.Drop(item)
 			return nil
 		}
 	}
-	if _, ok := st.writes[item]; !ok {
-		st.order = append(st.order, item)
-	}
-	st.writes[item] = v
+	st.Put(item, v)
 	return nil
 }
 
@@ -153,25 +154,21 @@ func (t *TO) Write(txn int, item string, v int64) error {
 func (t *TO) Commit(txn int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state(txn)
-	apply := make(map[string]int64, len(st.writes))
-	for x, v := range st.writes {
-		apply[x] = v
+	st, err := t.txns.Get(txn)
+	if err != nil {
+		return err
 	}
 	if t.opts.DeferWrites {
-		for _, x := range st.order {
-			skip, err := t.validateWrite(st, txn, x)
-			if err != nil {
-				delete(t.txns, txn)
-				return err
-			}
-			if skip {
-				delete(apply, x)
-			}
+		err := st.Validate(func(x string) (bool, error) {
+			return t.validateWrite(st.P, txn, x)
+		})
+		if err != nil {
+			t.txns.End(txn)
+			return err
 		}
 	}
-	t.store.Apply(apply)
-	delete(t.txns, txn)
+	st.Publish(t.store)
+	t.txns.End(txn)
 	return nil
 }
 
@@ -179,5 +176,5 @@ func (t *TO) Commit(txn int) error {
 func (t *TO) Abort(txn int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.txns, txn)
+	t.txns.End(txn)
 }

@@ -154,3 +154,35 @@ func TestExample1ShapeAborts(t *testing.T) {
 		t.Fatalf("want abort, got %v", err)
 	}
 }
+
+// Immediate mode admits one uncommitted writer per item: wt(x) moves at
+// write time but data at commit, so a second live writer could publish
+// before the first and then be overwritten by it (a lost update).
+func TestSecondUncommittedWriterAborts(t *testing.T) {
+	st := storage.New()
+	s := New(st, Options{})
+	s.Begin(1)
+	s.Begin(2)
+	if err := s.Write(1, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Write(2, "x", 2)
+	var ae *sched.AbortError
+	if !errors.As(err, &ae) || ae.Blocker != 1 || ae.Reason != "write conflicts with uncommitted writer" {
+		t.Fatalf("second writer: %v, want the uncommitted-writer abort blocked by T1", err)
+	}
+	s.Abort(2)
+	if err := s.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	s.Begin(2)
+	if err := s.Write(2, "x", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Get("x"); got != 2 {
+		t.Fatalf("x = %d, want the later writer's 2", got)
+	}
+}
