@@ -77,13 +77,15 @@ bench-sweep-4:
 		-csv bench/bench_4.csv -json bench/BENCH_4.json
 
 # Allocation regression gate (EXPERIMENTS.md E29): runs the hot-path
-# benchmarks with -benchmem and checks allocs/op against the budgets in
-# bench/alloc_budget.json. The steady-state engine/adapter benches are
-# budgeted at exactly 0 allocs/op; the whole-run cells get headroom for
-# setup noise. A budget pattern matching no benchmark also fails, so a
-# renamed benchmark cannot silently escape its gate.
+# benchmarks with -benchmem and checks allocs/op and B/op against the
+# budgets in bench/alloc_budget.json. The steady-state engine/adapter
+# benches are budgeted at exactly 0 allocs/op; the runtime layer
+# (BenchmarkRuntimeExec) in both units, so per-transaction runtime state
+# cannot creep back as one large allocation; the whole-run cells get
+# headroom for setup noise. A budget pattern matching no benchmark also
+# fails, so a renamed benchmark cannot silently escape its gate.
 alloc-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile' \
+	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile|BenchmarkRuntimeExec' \
 		-benchmem -benchtime 100x . | $(GO) run ./cmd/allocgate -budget bench/alloc_budget.json
 
 # The zero-allocation-hot-path sweep behind bench/BENCH_10.json (see

@@ -1,18 +1,21 @@
-// Command allocgate enforces allocs/op budgets over `go test -benchmem`
-// output. It reads benchmark result lines from stdin (or a file), matches
-// each benchmark name against the patterns in a budget file, and fails —
-// exit status 1 — if any matched benchmark exceeds its budget, or if a
-// budget pattern matched no benchmark at all (so a renamed benchmark
-// cannot silently escape its gate).
+// Command allocgate enforces allocs/op and B/op budgets over `go test
+// -benchmem` output. It reads benchmark result lines from stdin (or a
+// file), matches each benchmark name against the patterns in a budget
+// file, and fails — exit status 1 — if any matched benchmark exceeds its
+// budget, or if a budget pattern matched no benchmark at all (so a
+// renamed benchmark cannot silently escape its gate).
 //
 // Usage:
 //
 //	go test -run '^$' -bench 'BenchmarkStripedScheduler' -benchmem -benchtime 100x . | allocgate -budget bench/alloc_budget.json
 //
 // The budget file maps a Go regexp (anchored on both ends) to the
-// maximum allowed allocs/op:
+// maximum allowed allocs/op ("budgets") and, optionally, to the maximum
+// allowed B/op ("bytes"). An allocation count alone misses one large
+// allocation replacing a small one; the byte budget catches it:
 //
-//	{"budgets": {"BenchmarkStripedScheduler/steady-step/.*": 0}}
+//	{"budgets": {"BenchmarkStripedScheduler/steady-step/.*": 0},
+//	 "bytes":   {"BenchmarkRuntimeExec": 512}}
 //
 // Benchmark names are compared with their trailing GOMAXPROCS suffix
 // ("-8") stripped, matching what `go test` prints rather than what the
@@ -27,6 +30,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -36,12 +40,16 @@ type budgetFile struct {
 	// Budgets maps an anchored regexp over benchmark names to the
 	// maximum allocs/op allowed for every benchmark it matches.
 	Budgets map[string]float64 `json:"budgets"`
+	// Bytes maps an anchored regexp over benchmark names to the maximum
+	// B/op allowed for every benchmark it matches.
+	Bytes map[string]float64 `json:"bytes"`
 }
 
 // result is one parsed benchmark output line.
 type result struct {
 	name   string
 	allocs float64
+	bytes  float64
 }
 
 var (
@@ -53,7 +61,7 @@ var (
 )
 
 func main() {
-	budgetPath := flag.String("budget", "bench/alloc_budget.json", "path to the allocs/op budget file")
+	budgetPath := flag.String("budget", "bench/alloc_budget.json", "path to the allocs/op and B/op budget file")
 	input := flag.String("input", "-", "benchmark output to check ('-' for stdin)")
 	flag.Parse()
 
@@ -101,9 +109,9 @@ func loadBudget(path string) (*budgetFile, error) {
 	return &bf, nil
 }
 
-// parseResults extracts (name, allocs/op) pairs from go test output.
-// Lines without an "allocs/op" field (custom-metric-only lines, PASS,
-// headers) are skipped.
+// parseResults extracts (name, allocs/op, B/op) triples from go test
+// output. Lines without both fields (custom-metric-only lines, PASS,
+// headers, runs without -benchmem) are skipped.
 func parseResults(r io.Reader) ([]result, error) {
 	var out []result
 	sc := bufio.NewScanner(r)
@@ -113,21 +121,25 @@ func parseResults(r io.Reader) ([]result, error) {
 		if m == nil {
 			continue
 		}
-		allocs, ok := allocsField(m[2])
+		allocs, ok := unitField(m[2], "allocs/op")
 		if !ok {
 			continue
 		}
-		out = append(out, result{name: procSuffix.ReplaceAllString(m[1], ""), allocs: allocs})
+		bytes, ok := unitField(m[2], "B/op")
+		if !ok {
+			continue
+		}
+		out = append(out, result{name: procSuffix.ReplaceAllString(m[1], ""), allocs: allocs, bytes: bytes})
 	}
 	return out, sc.Err()
 }
 
-// allocsField pulls the value preceding the "allocs/op" unit out of the
-// metrics tail of a benchmark line.
-func allocsField(tail string) (float64, bool) {
+// unitField pulls the value preceding unit (e.g. "allocs/op") out of
+// the metrics tail of a benchmark line.
+func unitField(tail, unit string) (float64, bool) {
 	fields := strings.Fields(tail)
 	for i, f := range fields {
-		if f == "allocs/op" && i > 0 {
+		if f == unit && i > 0 {
 			v, err := strconv.ParseFloat(fields[i-1], 64)
 			if err != nil {
 				return 0, false
@@ -138,23 +150,30 @@ func allocsField(tail string) (float64, bool) {
 	return 0, false
 }
 
-// check compares results against budgets, prints one table row per
-// matched benchmark, and returns the number of violations. A budget
-// pattern that matches nothing is itself a violation.
+// check compares results against both budget tables and returns the
+// total number of violations.
 func check(bf *budgetFile, results []result, w io.Writer) int {
-	// Sort patterns for deterministic output.
-	patterns := make([]string, 0, len(bf.Budgets))
-	for p := range bf.Budgets {
+	failures := checkUnit("allocs/op", bf.Budgets, results, func(r result) float64 { return r.allocs }, w)
+	if len(bf.Bytes) > 0 {
+		fmt.Fprintln(w)
+		failures += checkUnit("B/op", bf.Bytes, results, func(r result) float64 { return r.bytes }, w)
+	}
+	return failures
+}
+
+// checkUnit compares one measured unit against its budgets, prints one
+// table row per matched benchmark, and returns the number of
+// violations. A budget pattern that matches nothing is itself a
+// violation.
+func checkUnit(unit string, budgets map[string]float64, results []result, value func(result) float64, w io.Writer) int {
+	patterns := make([]string, 0, len(budgets))
+	for p := range budgets {
 		patterns = append(patterns, p)
 	}
-	for i := 1; i < len(patterns); i++ {
-		for j := i; j > 0 && patterns[j] < patterns[j-1]; j-- {
-			patterns[j], patterns[j-1] = patterns[j-1], patterns[j]
-		}
-	}
+	sort.Strings(patterns) // deterministic output
 
 	failures := 0
-	fmt.Fprintf(w, "%-58s %12s %12s %s\n", "benchmark", "allocs/op", "budget", "verdict")
+	fmt.Fprintf(w, "%-58s %12s %12s %s\n", "benchmark", unit, "budget", "verdict")
 	for _, p := range patterns {
 		re, err := regexp.Compile("^(?:" + p + ")$")
 		if err != nil {
@@ -162,7 +181,7 @@ func check(bf *budgetFile, results []result, w io.Writer) int {
 			failures++
 			continue
 		}
-		limit := bf.Budgets[p]
+		limit := budgets[p]
 		matched := false
 		for _, res := range results {
 			if !re.MatchString(res.name) {
@@ -170,11 +189,11 @@ func check(bf *budgetFile, results []result, w io.Writer) int {
 			}
 			matched = true
 			verdict := "ok"
-			if res.allocs > limit {
+			if value(res) > limit {
 				verdict = "FAIL"
 				failures++
 			}
-			fmt.Fprintf(w, "%-58s %12g %12g %s\n", res.name, res.allocs, limit, verdict)
+			fmt.Fprintf(w, "%-58s %12g %12g %s\n", res.name, value(res), limit, verdict)
 		}
 		if !matched {
 			fmt.Fprintf(w, "%-58s %12s %12g UNMATCHED (benchmark missing or renamed)\n", p, "-", limit)

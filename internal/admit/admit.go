@@ -6,10 +6,10 @@
 // The paper proves serializability, not progress — this package supplies
 // the progress half:
 //
-//   - Limiter: an adaptive (AIMD) concurrency limiter gates admission on
-//     the windowed abort rate and commit-latency percentiles, shedding
-//     excess load with a typed ErrOverloaded before it consumes
-//     scheduler resources.
+//   - Limiter: an adaptive concurrency limiter gates admission — cut on
+//     the windowed abort rate and commit-latency percentiles, steered by
+//     measured goodput while it binds — shedding excess load with a
+//     typed ErrOverloaded before it consumes scheduler resources.
 //   - Aging: restart counts carried across a transaction's incarnations
 //     feed priority aging — young transactions yield backoff to older
 //     blockers, and a transaction past the elder threshold gains an
@@ -164,8 +164,8 @@ type Stats struct {
 	InFlight    int64 // currently admitted transactions
 	MaxInFlight int64 // high-water mark of admitted transactions
 	Shed        int64 // admissions refused with ErrOverloaded
-	Decreases   int64 // limiter multiplicative decreases
-	Increases   int64 // limiter additive increases
+	Decreases   int64 // limit reductions (storm cuts and climb steps down)
+	Increases   int64 // limit raises (healthy windows and climb steps up)
 	Elders      int64 // transactions promoted past the elder threshold
 	ElderWaits  int64 // admissions that waited on the elder barrier
 	GateWaits   int64 // retries parked by the crisis gate

@@ -155,6 +155,69 @@ func TestLimiterLatencyGradient(t *testing.T) {
 	}
 }
 
+// TestLimiterClimbFindsKnee drives the goodput climb over a synthetic
+// curve that rises to a knee at limit 4 and falls past it: from a
+// limit three times the knee the climb must walk down to it and then
+// stay within one step of it.
+func TestLimiterClimbFindsKnee(t *testing.T) {
+	l := NewLimiter(LimiterOptions{Initial: 12, Max: 64})
+	goodput := func(limit int) int64 { // commits per millisecond
+		if limit <= 4 {
+			return int64(10 * limit)
+		}
+		return int64(40 - 2*(limit-4))
+	}
+	now := time.Now()
+	for round := 0; round < 60; round++ {
+		for w := 0; w < climbWindows; w++ {
+			start := now
+			now = now.Add(time.Millisecond)
+			l.mu.Lock()
+			l.climbLocked(goodput(l.limit), start, now)
+			l.mu.Unlock()
+		}
+		if got := l.Limit(); round >= 20 && (got < 3 || got > 5) {
+			t.Fatalf("round %d: limit %d strayed from the knee at 4", round, got)
+		}
+	}
+}
+
+// A window that sheds arrivals hands the limit to the climb, which moves
+// it only once a full round is measured; a healthy window that sheds
+// nothing still adds one.
+func TestLimiterShedWindowsClimb(t *testing.T) {
+	l := NewLimiter(LimiterOptions{Initial: 8, Window: 1, LatencyFactor: -1})
+	for i := 0; i < climbWindows-1; i++ {
+		l.mu.Lock()
+		l.winSheds = 1
+		l.mu.Unlock()
+		if err := l.Acquire(context.Background(), i); err != nil {
+			t.Fatal(err)
+		}
+		l.Release(true, 1, time.Millisecond)
+		if got := l.Limit(); got != 8 {
+			t.Fatalf("limit moved to %d mid-round", got)
+		}
+	}
+	l.mu.Lock()
+	l.winSheds = 1
+	l.mu.Unlock()
+	if err := l.Acquire(context.Background(), 99); err != nil {
+		t.Fatal(err)
+	}
+	l.Release(true, 1, time.Millisecond)
+	if got := l.Limit(); got != 7 {
+		t.Fatalf("limit after the first climb round = %d, want 7 (first step goes down)", got)
+	}
+	if err := l.Acquire(context.Background(), 100); err != nil {
+		t.Fatal(err)
+	}
+	l.Release(true, 1, time.Millisecond)
+	if got := l.Limit(); got != 8 {
+		t.Fatalf("limit after a clean unshed window = %d, want 8", got)
+	}
+}
+
 func TestAgingOldestWins(t *testing.T) {
 	a := NewAging(AgingOptions{ElderAfter: 100, YieldScale: 4})
 	a.Admitted(1) // oldest

@@ -73,19 +73,29 @@ func (o LimiterOptions) withDefaults() LimiterOptions {
 	return o
 }
 
-// Limiter is an AIMD concurrency limiter: Acquire admits a transaction
-// into the scheduler (blocking in a bounded wait queue when the limit is
-// reached, shedding with ErrOverloaded when the queue is full too), and
-// Release feeds the outcome back. Every Window completions the limiter
-// adapts: a window whose attempt-level abort rate exceeds
-// TargetAbortRate — or whose p50 latency blew past the recent best by
-// LatencyFactor — multiplies the limit by Decrease; a healthy window
-// (abort rate under half the target) adds one. The probe direction is
-// deliberately asymmetric (slow up, fast down): restart storms feed on
-// admission, so over-admitting is the expensive mistake. One exception
-// cuts the other way — a window that shed arrivals while neither
-// decrease signal fired is refusing work with no overload evidence, and
-// climbs out at limit/4 per window instead of one slot at a time.
+// Limiter is an adaptive concurrency limiter: Acquire admits a
+// transaction into the scheduler (blocking in a bounded wait queue when
+// the limit is reached, shedding with ErrOverloaded when the queue is
+// full too), and Release feeds the outcome back. Every Window
+// completions the limiter adapts:
+//
+//   - A storm — a window whose attempt-level abort rate exceeds
+//     TargetAbortRate with latency corroboration, or whose p50 latency
+//     blew past the recent best by LatencyFactor — multiplies the limit
+//     by Decrease.
+//   - While the limit binds (windows that shed arrivals), the limiter
+//     climbs the goodput curve: every climbWindows windows it compares
+//     the commit rate with the previous round's and steps the limit on
+//     in the same direction if the rate rose, back the other way if it
+//     fell. It settles at the contention knee, the limit past which
+//     extra in-flight transactions buy retries instead of commits.
+//   - Otherwise (demand under the limit) a healthy window, abort rate
+//     under half the target, adds one.
+//
+// The climb steers by goodput because the knee moves with the workload
+// and the host: two workloads on the same MT(k) scheduler put theirs at
+// abort rates of 0.29 and 0.47, so no abort-rate band locates it, and
+// past it conflicts burn the CPU the extra slots were admitted to use.
 type Limiter struct {
 	opts LimiterOptions
 
@@ -99,6 +109,14 @@ type Limiter struct {
 	winAttempts int64
 	winCommits  int64
 	winSheds    int64
+	winStart    time.Time // when the current window began
+
+	// Goodput climb state (binding windows only; see climbLocked).
+	climbN       int       // windows accumulated into the current round
+	climbCommits int64     // commits in the current round
+	climbStart   time.Time // when the current round began
+	climbRate    float64   // commits/s of the previous round
+	climbDir     int       // direction of the last limit move: +1 or -1
 	// recentP50 is a ring of the last recentWindows windowed p50 commit
 	// latencies; the latency-gradient anchor is its minimum, so the
 	// anchor tracks the current load regime and forgets a faster past
@@ -118,10 +136,19 @@ type Limiter struct {
 // anchor remembers (see LimiterOptions.LatencyFactor).
 const recentWindows = 8
 
+// climbWindows is how many binding windows one goodput-climb round
+// spans. A single 32-completion window's commit rate swings by half
+// its mean on a busy host; four average enough of that out to see the
+// knee's slope while still stepping every ~100 completions.
+const climbWindows = 4
+
 // NewLimiter returns a limiter with the given options.
 func NewLimiter(o LimiterOptions) *Limiter {
 	o = o.withDefaults()
-	return &Limiter{opts: o, limit: o.Initial}
+	// The first climb step goes down: a limit that binds from the start
+	// has more demand than slots, and the cheaper mistake to test first
+	// is admitting too much.
+	return &Limiter{opts: o, limit: o.Initial, winStart: time.Now(), climbDir: -1}
 }
 
 // Limit returns the current concurrency limit.
@@ -214,11 +241,13 @@ func (l *Limiter) Release(committed bool, attempts int, latency time.Duration) {
 	l.gauge.Dec()
 }
 
-// adaptLocked runs one AIMD round over the finished window. Callers
-// hold mu.
+// adaptLocked runs one adaptation round over the finished window.
+// Callers hold mu.
 func (l *Limiter) adaptLocked() {
 	attempts, commits, sheds := l.winAttempts, l.winCommits, l.winSheds
 	l.winDone, l.winAttempts, l.winCommits, l.winSheds = 0, 0, 0, 0
+	winStart, now := l.winStart, time.Now()
+	l.winStart = now
 	snap := l.lat.Snapshot()
 	l.lat.Reset()
 	p50 := snap.Percentile(50)
@@ -260,44 +289,61 @@ func (l *Limiter) adaptLocked() {
 		if next >= l.limit {
 			next = l.limit - 1
 		}
-		if next < l.opts.Min {
-			next = l.opts.Min
-		}
-		if next != l.limit {
-			l.limit = next
-			l.decreases.Inc()
-		}
+		// The cut is the climb's latest move: the next round judges it.
+		l.climbN, l.climbDir = 0, -1
+		l.setLimitLocked(next)
+	case sheds > 0 || l.climbN > 0:
+		l.climbLocked(commits, winStart, now)
+	case abortRate < l.opts.TargetAbortRate/2:
+		l.setLimitLocked(l.limit + 1)
+	}
+}
+
+// climbLocked folds one window into the goodput climb, the controller
+// while the limit binds: every climbWindows windows it measures the
+// commit rate and steps the limit by max(limit/8, 1) — on in the
+// direction of the last move if the rate rose, back if it fell
+// (perturb and observe). Shed arrivals are the binding evidence: more
+// demand than slots means the limit, not the offered load, sets the
+// in-flight count, so the rate responds to the limit. A round that
+// began binding finishes even if demand drops mid-round. Callers hold
+// mu.
+func (l *Limiter) climbLocked(commits int64, winStart, now time.Time) {
+	if l.climbN == 0 {
+		l.climbStart = winStart
+	}
+	l.climbN++
+	l.climbCommits += commits
+	if l.climbN < climbWindows {
+		return
+	}
+	rate := float64(l.climbCommits) / now.Sub(l.climbStart).Seconds()
+	l.climbN, l.climbCommits = 0, 0
+	if rate < l.climbRate {
+		l.climbDir = -l.climbDir
+	}
+	l.climbRate = rate
+	l.setLimitLocked(l.limit + l.climbDir*max(l.limit/8, 1))
+}
+
+// setLimitLocked moves the limit to next, clamped to [Min, Max], counts
+// the move, and hands freed room to queued waiters at once. Callers hold
+// mu.
+func (l *Limiter) setLimitLocked(next int) {
+	next = min(max(next, l.opts.Min), l.opts.Max)
+	switch {
+	case next > l.limit:
+		l.increases.Inc()
+	case next < l.limit:
+		l.decreases.Inc()
 	default:
-		step := 0
-		if abortRate < l.opts.TargetAbortRate/2 {
-			step = 1
-		}
-		if sheds > 0 {
-			// Shed-probe: the window refused arrivals while neither
-			// overload signal fired — the limiter itself is the
-			// bottleneck, not the scheduler. Shedding is only justified
-			// while the decrease evidence holds, so climb out
-			// multiplicatively rather than one slot per window; a genuine
-			// storm keeps its abort rate above target and never reaches
-			// this branch.
-			step = l.limit / 4
-			if step < 1 {
-				step = 1
-			}
-		}
-		if step > 0 && l.limit < l.opts.Max {
-			l.limit += step
-			if l.limit > l.opts.Max {
-				l.limit = l.opts.Max
-			}
-			l.increases.Inc()
-			// A raised limit may unblock waiters immediately.
-			for len(l.queue) > 0 && l.inflight < l.limit {
-				w := l.queue[0]
-				l.queue = l.queue[1:]
-				l.inflight++
-				close(w)
-			}
-		}
+		return
+	}
+	l.limit = next
+	for len(l.queue) > 0 && l.inflight < l.limit {
+		w := l.queue[0]
+		l.queue = l.queue[1:]
+		l.inflight++
+		close(w)
 	}
 }

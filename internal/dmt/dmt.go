@@ -896,18 +896,32 @@ func (c *Cluster) markDone(txn int) {
 // transaction in the down site's journal records as referenced, keeping
 // the vectors the rebuilt index will point at.
 func (c *Cluster) GC() int {
-	referenced := map[int]bool{0: true}
+	type indexed struct {
+		entry *itemEntry
+		mu    *sync.Mutex
+	}
+	var entries []indexed
 	downSites := map[int]bool{}
 	for idx, s := range c.sites {
 		s.mu.Lock()
 		if s.down {
 			downSites[idx] = true
 		}
-		for _, e := range s.items {
-			referenced[e.rt] = true
-			referenced[e.wt] = true
+		for x, e := range s.items {
+			entries = append(entries, indexed{e, s.locks[x]})
 		}
 		s.mu.Unlock()
+	}
+	// RT/WT are read under their item lock, the lock stepItem writes
+	// them under, and only after the site mutexes are released: stepItem
+	// takes site mutexes (vecOf) while it holds item locks, so holding
+	// a site mutex here while waiting for an item lock could deadlock.
+	referenced := map[int]bool{0: true}
+	for _, e := range entries {
+		e.mu.Lock()
+		referenced[e.entry.rt] = true
+		referenced[e.entry.wt] = true
+		e.mu.Unlock()
 	}
 	if len(downSites) > 0 {
 		c.jmu.Lock()

@@ -181,6 +181,52 @@ func TestAdmitShedsTyped(t *testing.T) {
 	}
 }
 
+// TestDeadlineBoundsAdmission covers the two admission outcomes the
+// deadline must bound although the gate decides them without arming
+// the deadline timer up front: a transaction queued behind a full
+// limiter expires at its deadline, and a shed transaction's ShedPause
+// ends at the deadline too.
+func TestDeadlineBoundsAdmission(t *testing.T) {
+	ctrl := admit.NewController(admit.Options{
+		Limiter: admit.LimiterOptions{Initial: 1, Min: 1, Max: 1, QueuePerSlot: 1},
+	})
+	b := &blockingSched{release: make(chan struct{})}
+	defer close(b.release)
+	holder := &Runtime{Sched: b, Admit: ctrl}
+	go holder.Exec(Spec{ID: 1, Ops: []Op{R("x")}})
+	for start := time.Now(); ctrl.InFlight() != 1; time.Sleep(50 * time.Microsecond) {
+		if time.Since(start) > time.Second {
+			t.Fatal("txn 1 never admitted")
+		}
+	}
+	// Txns 2 and 3 race for the single queue place: one queues until
+	// its deadline, the other is shed with a pause far past it.
+	rt := &Runtime{Sched: b, Admit: ctrl, Deadline: 20 * time.Millisecond, ShedPause: 10 * time.Second}
+	out := make(chan Result, 2)
+	for id := 2; id <= 3; id++ {
+		go func(id int) { out <- rt.Exec(Spec{ID: id, Ops: []Op{R("x")}}) }(id)
+	}
+	var shed, expired int
+	for range 2 {
+		res := <-out
+		if res.Committed || res.Attempts != 0 {
+			t.Fatalf("res = %+v", res)
+		}
+		if res.Latency > 2*time.Second {
+			t.Fatalf("txn %d outlived its 20ms deadline by far: %v", res.ID, res.Latency)
+		}
+		if res.Shed {
+			shed++
+		}
+		if res.DeadlineExceeded {
+			expired++
+		}
+	}
+	if shed != 1 || expired != 1 {
+		t.Fatalf("shed %d, expired in queue %d; want one each", shed, expired)
+	}
+}
+
 // TestAgedTransactionCommits drives one transaction past the elder
 // threshold against a scheduler that aborts it N times, and checks the
 // elder's retries stop sleeping (the run finishes fast despite a huge

@@ -9,7 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"time"
@@ -113,10 +114,13 @@ type Runtime struct {
 	PartialRollback bool
 	// Store is consulted for per-item versions under PartialRollback.
 	Store *storage.Store
-	// Seed perturbs the per-transaction backoff RNG. Zero preserves the
-	// legacy seeding from the spec ID alone; any other value is mixed
-	// with the spec ID so chaos experiments can vary jitter across runs
-	// deterministically via config.
+	// Seed perturbs the per-transaction backoff jitter, drawn from a
+	// math/rand/v2 PCG held in the transaction's own stack frame (no
+	// per-transaction heap state). Zero seeds it from the spec ID alone;
+	// any other value is mixed with the spec ID so chaos experiments can
+	// vary jitter across runs deterministically via config. The draws
+	// are deterministic per (Seed, spec ID), but they are not the values
+	// the earlier math/rand source produced for the same pair.
 	Seed int64
 	// AttemptTimeout bounds one attempt's wall time (0 = unbounded). A
 	// timed-out attempt is abandoned, the incarnation aborted, and the
@@ -148,7 +152,11 @@ type Runtime struct {
 	// ShedPause is slept (cancellably) before a shed transaction
 	// returns, modeling a rejected client's retry-after pause; 0 = none.
 	// Without it a closed-loop worker pool turns shedding into a busy
-	// loop that steals CPU from the admitted work it protects.
+	// loop that steals CPU from the admitted work it protects. For the
+	// same reason the pause always parks on a timer, even below
+	// spinSleepMax: a retry-after pause needs no precision, and under
+	// overload dozens of shed clients yield-spinning at once would take
+	// the CPU back from the admitted work.
 	ShedPause time.Duration
 	// Deadline bounds one transaction end to end (0 = none): it covers
 	// admission waits, every attempt, backoff sleeps and think time.
@@ -167,7 +175,7 @@ type Runtime struct {
 // an unreachable site and is retried under the same budget.
 var errAttemptTimeout = fmt.Errorf("txn: attempt timed out: %w", sched.ErrUnavailable)
 
-// jitterSeed mixes the runtime-level seed into the per-spec RNG seed.
+// jitterSeed mixes the runtime-level seed into the per-spec jitter seed.
 // With Seed == 0 the legacy spec.ID-only seeding is preserved; otherwise
 // two runs of the same spec under different runtime seeds draw different
 // jitter, deterministically (SplitMix64 finalizer).
@@ -214,22 +222,28 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 		}()
 		ctx = sctx
 	}
+	var due time.Time // the transaction's deadline; zero = none
 	if r.Deadline > 0 {
-		dctx, cancel := context.WithTimeout(ctx, r.Deadline)
-		defer cancel()
-		ctx = dctx
+		due = start.Add(r.Deadline)
 	}
 	if r.Admit != nil {
-		if err := r.Admit.Admit(ctx, spec.ID); err != nil {
+		gate := &lazyDeadline{parent: ctx, due: due}
+		defer gate.release()
+		if err := r.Admit.Admit(gate, spec.ID); err != nil {
 			if errors.Is(err, admit.ErrOverloaded) {
 				res.Shed = true
-				_ = sleepCtx(ctx, r.ShedPause)
+				pause := r.ShedPause
+				if !due.IsZero() {
+					pause = min(pause, time.Until(due))
+				}
+				_ = parkCtx(ctx, pause)
 			} else {
 				res.DeadlineExceeded = true
 			}
 			res.Latency = time.Since(start)
 			return res
 		}
+		ctx = gate.context()
 		// The controller is fed SERVICE latency (admission grant to
 		// outcome), not arrival latency: queue wait is the limiter's own
 		// artifact, and feeding it back would spiral the limit down under
@@ -239,10 +253,18 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 		defer func() {
 			r.Admit.Done(spec.ID, res.Committed, res.Attempts, time.Since(admitted))
 		}()
+	} else if !due.IsZero() {
+		dctx, cancel := context.WithDeadline(ctx, due)
+		defer cancel()
+		ctx = dctx
 	}
-	rng := rand.New(rand.NewSource(jitterSeed(r.Seed, spec.ID)))
+	// The jitter generator is two words in this frame: it never escapes,
+	// so a transaction that commits first time allocates nothing for it.
+	rng := rand.NewPCG(uint64(jitterSeed(r.Seed, spec.ID)), jitterStream)
 	resumeFrom := 0
 	var reads map[string]int64
+	// readVers holds the item versions behind kept reads; only
+	// PartialRollback consults it, so it exists only with a Store.
 	var readVers map[string]int64
 	conflicts := 0 // attempts ended by ErrAbort, counted against MaxAttempts
 	unavail := 0   // attempts ended by ErrUnavailable, separate budget
@@ -266,7 +288,9 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 		}
 		if resumeFrom == 0 {
 			reads = make(map[string]int64)
-			readVers = make(map[string]int64)
+			if r.Store != nil {
+				readVers = make(map[string]int64)
+			}
 		}
 		out := r.attemptWithTimeout(ctx, spec, resumeFrom, reads, readVers)
 		res.OpsExecuted += out.ops
@@ -349,25 +373,79 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 	}
 }
 
+// jitterStream is the fixed second PCG seed word; the first is the
+// per-transaction jitterSeed.
+const jitterStream = 0x6A09E667F3BCC909
+
+// lazyDeadline is the transaction's deadline context as the admission
+// gate sees it: built on first use. The gate only reaches for it when it
+// must wait, so a transaction admitted or shed on the spot arms no
+// deadline timer before admission. Under overload most arrivals are
+// shed, and the timer was most of a shed's cost.
+type lazyDeadline struct {
+	parent context.Context
+	due    time.Time // zero = no deadline
+	ctx    context.Context
+	cancel context.CancelFunc // set once a deadline context exists
+}
+
+func (l *lazyDeadline) context() context.Context {
+	if l.ctx == nil {
+		l.ctx = l.parent
+		if !l.due.IsZero() {
+			l.ctx, l.cancel = context.WithDeadline(l.parent, l.due)
+		}
+	}
+	return l.ctx
+}
+
+// release cancels the deadline context, if one was built.
+func (l *lazyDeadline) release() {
+	if l.cancel != nil {
+		l.cancel()
+	}
+}
+
+// Done and Err make lazyDeadline an admit.Waiter.
+func (l *lazyDeadline) Done() <-chan struct{} { return l.context().Done() }
+func (l *lazyDeadline) Err() error            { return l.context().Err() }
+
 // sleepBackoff sleeps Backoff-style full jitter: uniform in
 // [0, scale·base·2^min(n,6)]. scale < 1 shortens the sleep (0 skips it
 // entirely — an aged transaction retrying immediately), scale > 1
 // widens it (storm damping, young-yields-to-old). The sleep is
 // cancellable: ctx expiry interrupts it and returns the ctx error.
-func sleepBackoff(ctx context.Context, rng *rand.Rand, n int, base time.Duration, scale float64) error {
+func sleepBackoff(ctx context.Context, rng *rand.PCG, n int, base time.Duration, scale float64) error {
+	return sleepCtx(ctx, backoffDraw(rng, n, base, scale))
+}
+
+// backoffDraw is sleepBackoff's jitter draw; 0 when base or scale
+// disables the sleep.
+func backoffDraw(rng *rand.PCG, n int, base time.Duration, scale float64) time.Duration {
 	if base <= 0 || scale < 0 {
-		return ctx.Err()
-	}
-	shift := n
-	if shift > 6 {
-		shift = 6
+		return 0
 	}
 	max := int64(float64(base) * scale)
 	if max <= 0 {
-		return ctx.Err()
+		return 0
 	}
-	max <<= shift
-	return sleepCtx(ctx, time.Duration(rng.Int63n(max+1)))
+	max <<= min(n, 6)
+	return time.Duration(uniform(rng, uint64(max)+1))
+}
+
+// uniform draws from [0, n) without modulo bias (Lemire's
+// multiply-and-reject, as math/rand/v2's Rand does). It works on the
+// PCG directly: wrapping it in a rand.Rand stores it behind the Source
+// interface, which moves it to the heap.
+func uniform(rng *rand.PCG, n uint64) uint64 {
+	hi, lo := bits.Mul64(rng.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(rng.Uint64(), n)
+		}
+	}
+	return hi
 }
 
 // sleepCtx sleeps d, returning early with the ctx error when the
@@ -403,6 +481,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 				return ctx.Err()
 			}
 		}
+	}
+	return parkCtx(ctx, d)
+}
+
+// parkCtx sleeps d parked on a timer, returning early with the ctx
+// error when the context expires first.
+func parkCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
 	}
 	if ctx.Done() == nil {
 		time.Sleep(d)
