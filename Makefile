@@ -80,12 +80,14 @@ bench-sweep-4:
 # benchmarks with -benchmem and checks allocs/op and B/op against the
 # budgets in bench/alloc_budget.json. The steady-state engine/adapter
 # benches are budgeted at exactly 0 allocs/op; the runtime layer
-# (BenchmarkRuntimeExec) in both units, so per-transaction runtime state
-# cannot creep back as one large allocation; the whole-run cells get
-# headroom for setup noise. A budget pattern matching no benchmark also
-# fails, so a renamed benchmark cannot silently escape its gate.
+# (BenchmarkRuntimeExec, and BenchmarkRuntimeRetry for a transaction
+# whose first attempt is rejected) in both units, so per-transaction
+# runtime state cannot creep back as one large allocation; the
+# whole-run cells get headroom for setup noise. A budget pattern
+# matching no benchmark also fails, so a renamed benchmark cannot
+# silently escape its gate.
 alloc-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile|BenchmarkRuntimeExec' \
+	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile|BenchmarkRuntime(Exec|Retry)' \
 		-benchmem -benchtime 100x . | $(GO) run ./cmd/allocgate -budget bench/alloc_budget.json
 
 # The zero-allocation-hot-path sweep behind bench/BENCH_10.json (see

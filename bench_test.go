@@ -969,3 +969,52 @@ func BenchmarkRuntimeExec(b *testing.B) {
 		iter()
 	}
 }
+
+// BenchmarkRuntimeRetry is the runtime layer's settled-retry path: one
+// transaction per op through txn.Runtime over the striped MT adapter,
+// serially, whose first attempt the relative "+1" encoding rejects
+// (EXPERIMENTS.md finding 1) and whose retry commits. Each spec reads a
+// cold item last read 64 transactions ago, which orders it just past
+// that old reader, then the hot item h, whose last reader is the
+// previous transaction with a later first element: the read is
+// rejected by a transaction that has already committed, the starvation
+// fix reseeds past it, and the retry commits. The retry does not sleep,
+// so a 1 s Backoff would show in ns/op if it did; make alloc-gate
+// budgets the path in allocs/op and B/op.
+func BenchmarkRuntimeRetry(b *testing.B) {
+	store := storage.New()
+	rt := &txn.Runtime{
+		Sched:   sched.NewMTStriped(store, sched.MTOptions{Core: engine.Options{K: 7, StarvationAvoidance: true}}),
+		Backoff: time.Second,
+	}
+	specs := make([]txn.Spec, 4096)
+	for i := range specs {
+		specs[i] = txn.Spec{ID: 1 + i, Ops: []txn.Op{
+			txn.R(fmt.Sprintf("c%03d", i%64)),
+			txn.R("h"),
+			txn.W("h"),
+		}}
+	}
+	// Two readers of h in a row give h a reader ordered past every
+	// cold item's: <2> against <0>. Each committed retry is reseeded
+	// past the column-1 clock, which keeps it that way.
+	for id := len(specs) + 1; id <= len(specs)+2; id++ {
+		rt.Exec(txn.Spec{ID: id, Ops: []txn.Op{txn.R("h"), txn.W("h")}})
+	}
+	n := 0
+	iter := func() {
+		res := rt.Exec(specs[n%len(specs)])
+		if !res.Committed || res.Attempts != 2 {
+			b.Fatalf("txn %d: want one settled reject then a commit: %+v", n, res)
+		}
+		n++
+	}
+	for i := 0; i < 20000; i++ {
+		iter() // warm the intern table, stripe slices, entry pool
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iter()
+	}
+}

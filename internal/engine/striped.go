@@ -28,7 +28,7 @@ import (
 //  2. a per-transaction lock guards each timestamp vector and its
 //     pin/done lifecycle bits; every step locks the (at most three)
 //     transactions it touches — RT(x), WT(x) and the operating
-//     transaction — in ascending id order;
+//     transaction — in ascending entry rank order (see lockTxns);
 //  3. a counter lock guards the lcount/ucount pair and the per-column
 //     clock, taken last, for the duration of a kernel encode.
 //
@@ -58,16 +58,23 @@ type Striped struct {
 	smask   int  // stripe index mask (stripe count - 1)
 	nshift  uint // log2(stripe count): id >> nshift is the in-stripe index
 
-	// tmu serializes txn-table growth and slot publication (create is
-	// the only writer); lookups are lock-free loads of the spine. tmu
-	// orders BEFORE the per-entry locks: create initializes a pooled
-	// entry under its lock while holding tmu, and no path acquires tmu
-	// while holding an entry lock (reclamation clears slots with a CAS,
-	// not under tmu, precisely to keep this acyclic).
+	// tmu serializes txn-table growth, slot publication and chunk
+	// retirement (create is the only writer); lookups are lock-free
+	// loads of the spine. tmu orders BEFORE the per-entry locks: create
+	// initializes a pooled entry under its lock while holding tmu, and
+	// no path acquires tmu while holding an entry lock (reclamation
+	// clears slots with a CAS, not under tmu, precisely to keep this
+	// acyclic).
 	tmu   sync.Mutex
-	spine atomic.Pointer[[]*txnChunk]
-	live  atomic.Int64 // published, unreclaimed entries (including T_0)
-	pool  sync.Pool    // *txnEntry, vectors pre-sized to k
+	spine atomic.Pointer[[]atomic.Pointer[txnChunk]]
+	// held lists the spine indexes of the installed chunks; once it
+	// reaches sweepAt, the next install first retires the empty ones.
+	// Both are guarded by tmu.
+	held    []int
+	sweepAt int
+	live    atomic.Int64  // published, unreclaimed entries (including T_0)
+	pool    sync.Pool     // *txnEntry, vectors pre-sized to k
+	ranks   atomic.Uint64 // entries allocated; the next entry's rank
 	// staleRetries counts lock-set retries that hit a reclaimed or
 	// recycled entry (the generation check); the pooled-reuse stress
 	// test asserts every stale access is caught here.
@@ -109,15 +116,27 @@ func (st *itemStripe) ensure(li int) {
 }
 
 // txnChunk is one fixed block of the transaction table. Chunks never
-// move once published, so a slot pointer read is one atomic load.
+// move once published, so a slot pointer read is one atomic load. A
+// chunk whose slots are all empty is retired (see retireChunks), so the
+// table's memory follows the ids still holding vectors, not every id
+// ever begun: txn ids only grow in a long run.
 const (
 	txnChunkBits = 8
 	txnChunkSize = 1 << txnChunkBits
 	txnChunkMask = txnChunkSize - 1
+	// minSweep is the installed-chunk count below which no retirement
+	// sweep runs: a workload whose ids stay within minSweep chunks
+	// (16,384 ids) never sweeps, so never reallocates a chunk.
+	minSweep = 64
 )
 
 type txnChunk struct {
 	slots [txnChunkSize]atomic.Pointer[txnEntry]
+	// used counts the filled slots. create raises it under tmu after
+	// filling an empty slot and maybeReclaim lowers it after emptying
+	// one, so it never reads below the true count: zero read under tmu
+	// means every slot is empty.
+	used atomic.Int32
 }
 
 // txnEntry is one transaction's vector plus lifecycle state, guarded by
@@ -127,6 +146,7 @@ type txnChunk struct {
 // recycle because (id, dead) no longer match what it asked for.
 type txnEntry struct {
 	mu   sync.Mutex
+	rank uint64      // fixed at allocation; lockTxns locks in rank order
 	id   int         // current identity; valid while published
 	gen  uint64      // incremented on every recycle (diagnostics, tests)
 	dead atomic.Bool // set on reclaim; readable without the entry lock
@@ -137,7 +157,7 @@ type txnEntry struct {
 
 // lockedTxns is the fixed-capacity result of lockTxns: at most three
 // distinct entries — RT(x), WT(x) and the acting transaction — locked
-// in ascending id order. It lives on the caller's stack, so the
+// in ascending rank order. It lives on the caller's stack, so the
 // steady-state step path allocates nothing.
 type lockedTxns struct {
 	ids [3]int
@@ -157,7 +177,7 @@ func (lt *lockedTxns) get(id int) *txnEntry {
 	return lt.es[2]
 }
 
-// unlock releases the locked entries in descending id order.
+// unlock releases the locked entries in reverse locking order.
 func (lt *lockedTxns) unlock() {
 	for j := lt.n - 1; j >= 0; j-- {
 		lt.es[j].mu.Unlock()
@@ -206,7 +226,7 @@ func newStriped(opts Options, nStripes int, names *intern.Table) *Striped {
 		s.nshift++
 	}
 	k := opts.K
-	s.pool.New = func() any { return &txnEntry{vec: core.NewVector(k)} }
+	s.pool.New = func() any { return &txnEntry{rank: s.ranks.Add(1), vec: core.NewVector(k)} }
 	// TS(0) = <0,*,...,*>: the virtual transaction T_0.
 	t0 := s.entry(0)
 	t0.vec.SetElem(1, 0)
@@ -245,7 +265,7 @@ func (s *Striped) lookup(id int) *txnEntry {
 	if hi >= len(*sp) {
 		return nil
 	}
-	ch := (*sp)[hi]
+	ch := (*sp)[hi].Load()
 	if ch == nil {
 		return nil
 	}
@@ -261,34 +281,15 @@ func (s *Striped) entry(id int) *txnEntry {
 	return s.create(id)
 }
 
-// create publishes an entry for id under tmu. The spine is
-// copy-on-write: chunks are installed by publishing a new chunk-pointer
-// slice, so lock-free lookups only ever see immutable slices.
+// create publishes an entry for id under tmu.
 func (s *Striped) create(id int) *txnEntry {
 	if id < 0 {
 		panic("engine: negative transaction id")
 	}
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
-	hi := id >> txnChunkBits
-	var chunks []*txnChunk
-	if sp := s.spine.Load(); sp != nil {
-		chunks = *sp
-	}
-	if hi >= len(chunks) || chunks[hi] == nil {
-		n := len(chunks)
-		if hi+1 > n {
-			n = hi + 1
-		}
-		grown := make([]*txnChunk, n)
-		copy(grown, chunks)
-		if grown[hi] == nil {
-			grown[hi] = &txnChunk{}
-		}
-		s.spine.Store(&grown)
-		chunks = grown
-	}
-	slot := &chunks[hi].slots[id&txnChunkMask]
+	ch := s.chunk(id >> txnChunkBits)
+	slot := &ch.slots[id&txnChunkMask]
 	if e := slot.Load(); e != nil && !e.dead.Load() {
 		return e
 	}
@@ -307,17 +308,75 @@ func (s *Striped) create(id int) *txnEntry {
 	e.pins = 0
 	e.vec.Reset()
 	e.mu.Unlock()
-	slot.Store(e)
+	// The slot may still hold a dead entry whose reclaimer has not
+	// cleared it yet; that reclaimer's CAS then fails, so only a slot
+	// that was empty counts as newly used.
+	if slot.Swap(e) == nil {
+		ch.used.Add(1)
+	}
 	s.live.Add(1)
 	return e
 }
 
-// lockTxns locks the entries for ids[:n] in ascending id order (ids
-// are deduplicated here), retrying when an entry was reclaimed or
-// recycled between lookup and lock — detected by the (id, dead)
-// generation check, since a pooled entry that was re-published for a
-// different transaction no longer carries the id it was looked up
-// under. The result lives in the caller-provided lockedTxns.
+// chunk returns chunk hi of the transaction table, installing it if
+// absent. The spine is copy-on-write for growth, which doubles it, so
+// lock-free lookups only ever index a slice that is never resized; its
+// elements are atomic, so installing or retiring a chunk copies
+// nothing. The caller holds tmu.
+func (s *Striped) chunk(hi int) *txnChunk {
+	var chunks []atomic.Pointer[txnChunk]
+	if sp := s.spine.Load(); sp != nil {
+		chunks = *sp
+	}
+	if hi >= len(chunks) {
+		grown := make([]atomic.Pointer[txnChunk], max(hi+1, 2*len(chunks)))
+		for i := range chunks {
+			grown[i].Store(chunks[i].Load())
+		}
+		s.spine.Store(&grown)
+		chunks = grown
+	}
+	if ch := chunks[hi].Load(); ch != nil {
+		return ch
+	}
+	if len(s.held) >= max(s.sweepAt, minSweep) {
+		s.retireChunks(chunks)
+	}
+	ch := &txnChunk{}
+	chunks[hi].Store(ch)
+	s.held = append(s.held, hi)
+	return ch
+}
+
+// retireChunks removes the installed chunks whose slots are all empty.
+// A lookup still holding a retired chunk finds every slot empty, which
+// is what the table answers for those ids anyway, and create installs
+// a fresh chunk for an id that comes back. The sweep runs once the
+// installed chunks have doubled since the last one, so its cost per
+// installed chunk is constant. The caller holds tmu.
+func (s *Striped) retireChunks(chunks []atomic.Pointer[txnChunk]) {
+	kept := s.held[:0]
+	for _, hi := range s.held {
+		if chunks[hi].Load().used.Load() == 0 {
+			chunks[hi].Store(nil)
+		} else {
+			kept = append(kept, hi)
+		}
+	}
+	s.held = kept
+	s.sweepAt = 2 * len(kept)
+}
+
+// lockTxns locks the entries for ids[:n] (ids are deduplicated here),
+// retrying when an entry was reclaimed or recycled between lookup and
+// lock — detected by the (id, dead) generation check, since a pooled
+// entry that was re-published for a different transaction no longer
+// carries the id it was looked up under. The locks are taken in rank
+// order, not id order: a stale lookup can hand back an entry already
+// recycled under another id, and under an id order two lockers could
+// then each hold one entry while waiting for the other. A rank never
+// changes, so every multi-entry lock follows one total order. The
+// result lives in the caller-provided lockedTxns.
 func (s *Striped) lockTxns(lt *lockedTxns, ids [3]int, n int) {
 	if n > 1 && ids[0] > ids[1] {
 		ids[0], ids[1] = ids[1], ids[0]
@@ -342,8 +401,23 @@ retry:
 		for i := 0; i < m; i++ {
 			lt.es[i] = s.entry(lt.ids[i])
 		}
+		for i := 1; i < m; i++ {
+			for j := i; j > 0 && lt.es[j].rank < lt.es[j-1].rank; j-- {
+				lt.es[j], lt.es[j-1] = lt.es[j-1], lt.es[j]
+				lt.ids[j], lt.ids[j-1] = lt.ids[j-1], lt.ids[j]
+			}
+		}
 		for i := 0; i < m; i++ {
 			e := lt.es[i]
+			if i > 0 && e == lt.es[i-1] {
+				// Two ids looked up one entry: at least one lookup is
+				// stale, and locking it twice would self-deadlock.
+				s.staleRetries.Add(1)
+				for j := i - 1; j >= 0; j-- {
+					lt.es[j].mu.Unlock()
+				}
+				continue retry
+			}
 			e.mu.Lock()
 			if e.dead.Load() || e.id != lt.ids[i] {
 				s.staleRetries.Add(1)
@@ -633,8 +707,10 @@ func (s *Striped) maybeReclaim(id int, e *txnEntry) {
 		e.gen++
 		if sp := s.spine.Load(); sp != nil {
 			hi := id >> txnChunkBits
-			if hi < len(*sp) && (*sp)[hi] != nil {
-				(*sp)[hi].slots[id&txnChunkMask].CompareAndSwap(e, nil)
+			if hi < len(*sp) {
+				if ch := (*sp)[hi].Load(); ch != nil && ch.slots[id&txnChunkMask].CompareAndSwap(e, nil) {
+					ch.used.Add(-1)
+				}
 			}
 		}
 		s.live.Add(-1)
@@ -835,7 +911,8 @@ func (s *Striped) Snapshot() map[int]*core.Vector {
 	if sp == nil {
 		return out
 	}
-	for hi, ch := range *sp {
+	for hi := range *sp {
+		ch := (*sp)[hi].Load()
 		if ch == nil {
 			continue
 		}

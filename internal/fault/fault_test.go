@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -45,10 +46,20 @@ func TestScheduleReproducibleSequentially(t *testing.T) {
 		{At: 10, Kind: Crash, Site: 1},
 		{At: 20, Kind: Recover, Site: 1},
 	}}
+	recoverAt := plan.Events[1].At
 	run := func() []string {
 		in := New(plan, 3, 7)
 		for i := 0; i < 40; i++ {
 			in.Send(0, (i%2)+1) // deterministic single-threaded traffic
+			// The recovery completes on its own goroutine: until it marks
+			// site 1 up, a send there is refused instead of reaching the
+			// drop decision. Wait for it, so the traffic after the event
+			// meets the same site state in every run.
+			if int64(i+1) >= recoverAt {
+				for !in.SiteUp(1) {
+					runtime.Gosched()
+				}
+			}
 		}
 		return in.Schedule()
 	}

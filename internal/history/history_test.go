@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/dmt"
 	"repro/internal/engine"
 	"repro/internal/interval"
 	"repro/internal/occ"
@@ -137,6 +138,25 @@ func TestConcurrentHistoriesAreDSR(t *testing.T) {
 		{"Interval", func(st *storage.Store) sched.Scheduler {
 			return interval.New(st, interval.Options{})
 		}},
+		{"MT3striped", func(st *storage.Store) sched.Scheduler {
+			return sched.NewMTStriped(st, sched.MTOptions{Core: engine.Options{K: 3, StarvationAvoidance: true}})
+		}},
+		{"MT3striped-defer", func(st *storage.Store) sched.Scheduler {
+			return sched.NewMTStriped(st, sched.MTOptions{
+				Core: engine.Options{K: 3, StarvationAvoidance: true}, DeferWrites: true})
+		}},
+		{"Composite3", func(st *storage.Store) sched.Scheduler {
+			return sched.NewComposite(st, 3, engine.Options{StarvationAvoidance: true})
+		}},
+		{"Nested2x2", func(st *storage.Store) sched.Scheduler {
+			return sched.NewNested(st, sched.NestedOptions{Ks: []int{2, 2}})
+		}},
+		{"DMT2x3", func(st *storage.Store) sched.Scheduler {
+			return sched.NewDMT(st, dmt.Options{K: 2, Sites: 3})
+		}},
+		// 2PL is left out: the Recorder holds its mutex across the inner
+		// call, so a lock wait inside it blocks every other worker's
+		// recorded operation, the lock holder's release included.
 	}
 	for _, p := range protos {
 		p := p

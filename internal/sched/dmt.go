@@ -262,7 +262,7 @@ func (d *DMT) Read(txn int, item string) (int64, error) {
 		d.mu.Lock()
 		st.Blocker = dec.Blocker
 		d.mu.Unlock()
-		return 0, Abort(txn, dec.Blocker, "read rejected")
+		return 0, reject(txn, dec.Blocker, "read rejected", d.live)
 	}
 	d.mu.Lock()
 	st.P.stepped = true
@@ -315,7 +315,7 @@ func (d *DMT) Write(txn int, item string, v int64) error {
 		d.mu.Lock()
 		st.Blocker = dec.Blocker
 		d.mu.Unlock()
-		return Abort(txn, dec.Blocker, "write rejected")
+		return reject(txn, dec.Blocker, "write rejected", d.live)
 	}
 	d.mu.Lock()
 	st.Put(item, v)

@@ -74,7 +74,7 @@ func (m *MT) Read(txn int, item string) (int64, error) {
 		d := m.sched.Step(oplog.R(txn, item))
 		if d.Verdict == core.Reject {
 			st.Blocker = d.Blocker
-			return Abort(txn, d.Blocker, "read rejected")
+			return reject(txn, d.Blocker, "read rejected", m.txns.Live)
 		}
 		if w := m.sched.WT(item); !m.opts.DeferWrites && w != txn && m.txns.Live(w) &&
 			!m.sched.Vector(txn).Less(m.sched.Vector(w)) {
@@ -113,7 +113,7 @@ func (m *MT) Write(txn int, item string, v int64) error {
 		switch d.Verdict {
 		case core.Reject:
 			st.Blocker = d.Blocker
-			return Abort(txn, d.Blocker, "write rejected")
+			return reject(txn, d.Blocker, "write rejected", m.txns.Live)
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			st.Drop(item)
@@ -135,7 +135,7 @@ func (m *MT) Commit(txn int) error {
 		d := m.sched.Step(oplog.W(txn, x))
 		if d.Verdict == core.Reject {
 			st.Blocker = d.Blocker
-			return false, Abort(txn, d.Blocker, "commit-time write validation failed")
+			return false, reject(txn, d.Blocker, "commit-time write validation failed", m.txns.Live)
 		}
 		return d.Verdict == core.AcceptIgnored, nil
 	}, func(st *Txn[struct{}], ok bool) {

@@ -77,7 +77,7 @@ func (n *Nested) Begin(txn int) {
 func (n *Nested) Read(txn int, item string) (int64, error) {
 	return n.read(txn, item, func(*Txn[struct{}]) error {
 		if d := n.sched.Step(oplog.R(txn, item)); d.Verdict == core.Reject {
-			return Abort(txn, d.Blocker, "read rejected")
+			return reject(txn, d.Blocker, "read rejected", n.txns.Live)
 		}
 		return nil
 	})
@@ -88,7 +88,7 @@ func (n *Nested) Read(txn int, item string) (int64, error) {
 func (n *Nested) Commit(txn int) error {
 	return n.commit(txn, func(_ *Txn[struct{}], x string) (bool, error) {
 		if d := n.sched.Step(oplog.W(txn, x)); d.Verdict == core.Reject {
-			return false, Abort(txn, d.Blocker, "commit-time write validation failed")
+			return false, reject(txn, d.Blocker, "commit-time write validation failed", n.txns.Live)
 		}
 		return false, nil
 	}, func(*Txn[struct{}], bool) {})

@@ -25,6 +25,12 @@ type AbortError struct {
 	Txn     int
 	Blocker int
 	Reason  string
+	// Settled reports that the blocker had no live incarnation when the
+	// reject was decided: it has committed (or aborted), so no wait
+	// changes its vector, and with the starvation fix (Section III-D-4)
+	// the reseed already orders the retry after it. Only the MT-family
+	// protocol rejects set it; every other abort leaves it false.
+	Settled bool
 }
 
 // Error implements error.
@@ -38,6 +44,14 @@ func (e *AbortError) Unwrap() error { return ErrAbort }
 // Abort builds an *AbortError.
 func Abort(txn, blocker int, reason string) error {
 	return &AbortError{Txn: txn, Blocker: blocker, Reason: reason}
+}
+
+// reject builds the *AbortError of an MT-family protocol reject of txn
+// by blocker, settled when live reports no live incarnation of blocker.
+// The uncommitted-writer guards use Abort: their blocker is live by
+// construction.
+func reject(txn, blocker int, reason string, live func(int) bool) error {
+	return &AbortError{Txn: txn, Blocker: blocker, Reason: reason, Settled: !live(blocker)}
 }
 
 // ErrUnavailable is returned by distributed schedulers when a site the

@@ -178,7 +178,7 @@ func (m *MTStriped) Read(txn int, item string) (int64, error) {
 	if v == core.Reject {
 		lt.UnlockStripe(stripe)
 		st.blocker = blocker
-		return 0, Abort(txn, blocker, "read rejected")
+		return 0, reject(txn, blocker, "read rejected", m.liveFn)
 	}
 	if !m.opts.DeferWrites {
 		if w, conflict := m.sched.ReadPendingWriterID(txn, id, m.liveFn); conflict {
@@ -219,7 +219,7 @@ func (m *MTStriped) Write(txn int, item string, v int64) error {
 		switch verdict {
 		case core.Reject:
 			st.blocker = blocker
-			return Abort(txn, blocker, "write rejected")
+			return reject(txn, blocker, "write rejected", m.liveFn)
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			delete(st.writes, id)
@@ -267,7 +267,7 @@ func (m *MTStriped) Commit(txn int) error {
 				m.sched.Abort(txn, blocker)
 				lt.UnlockStripesSorted(st.stripes)
 				m.drop(txn)
-				return Abort(txn, blocker, "commit-time write validation failed")
+				return reject(txn, blocker, "commit-time write validation failed", m.liveFn)
 			case core.AcceptIgnored:
 				delete(st.writes, id)
 			}

@@ -100,6 +100,10 @@ type Runtime struct {
 	MaxAttempts int
 	// Backoff is the base sleep after an abort; attempt n sleeps
 	// Backoff * 2^min(n,6) with full jitter. Zero disables sleeping.
+	// A conflict abort whose blocker had already finished
+	// (sched.AbortError.Settled) retries at once instead, unless the
+	// admission controller scaled the backoff: its aging and storm
+	// policies still apply to such retries.
 	Backoff time.Duration
 	// Think sleeps between consecutive operations of a transaction and
 	// before its commit, forcing transactions to overlap in time (the
@@ -349,11 +353,14 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 				res.Latency = time.Since(start)
 				return res
 			}
+			// A type assertion, not errors.As: schedulers return the
+			// *AbortError bare, and errors.As would move the target to
+			// the heap on every conflict.
+			ae, _ := out.err.(*sched.AbortError)
 			scale := 1.0
 			if r.Admit != nil {
 				blocker := 0
-				var ae *sched.AbortError
-				if errors.As(out.err, &ae) {
+				if ae != nil {
 					blocker = ae.Blocker
 				}
 				scale = r.Admit.OnAbort(spec.ID, blocker)
@@ -364,7 +371,17 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 			// restart itself as a preemption point.
 			hook.Observe("txn.backoff", "", int64(spec.ID), int64(scale*1e6))
 			hook.Yield("txn.restart", "", int64(spec.ID), int64(conflicts))
-			if err := sleepBackoff(ctx, rng, conflicts, r.Backoff, scale); err != nil {
+			// The jitter is drawn even when it is not slept, so the n-th
+			// conflict's draw stays a function of (Seed, id, n) alone.
+			d := backoffDraw(rng, conflicts, r.Backoff, scale)
+			if scale == 1 && ae != nil && ae.Settled {
+				// The blocker has finished: no sleep changes its vector,
+				// and the starvation-fix reseed already orders the retry
+				// after it. An admission scale other than 1 is a policy
+				// (aging, storm damping) and is still slept.
+				d = 0
+			}
+			if err := sleepCtx(ctx, d); err != nil {
 				return expired()
 			}
 		default:
